@@ -165,6 +165,25 @@ MetricRow BenchFifoBatched(const std::vector<std::string>& segments,
           static_cast<double>(total_records) / secs, "records/sec"};
 }
 
+/// WordCount-shaped incremental fold: every record adds one.
+class CountReducer final : public core::IncrementalReducer {
+ public:
+  std::string InitPartial(Slice) override { return EncodeI64(0); }
+  void Update(Slice, Slice value, std::string* partial,
+              mr::ReduceEmitter*) override {
+    int64_t acc = 0;
+    DecodeI64(Slice(*partial), &acc);
+    (void)value;
+    *partial = EncodeI64(acc + 1);
+  }
+  std::string MergePartials(Slice, Slice a, Slice b) override {
+    int64_t x = 0, y = 0;
+    DecodeI64(a, &x);
+    DecodeI64(b, &y);
+    return EncodeI64(x + y);
+  }
+};
+
 /// Fetch-to-reduce: decode + sink + drain + a WordCount-shaped fold
 /// into an in-memory store, i.e. the consumer does real per-record work
 /// against Slice keys (the transparent-lookup hot path).
@@ -185,17 +204,12 @@ MetricRow BenchFetchToReduce(const std::vector<std::string>& segments,
     }
     sink.fifo().Close();
   });
-  std::string partial;
+  CountReducer reducer;
   std::vector<mr::RecordBatch> batches;
   while (sink.fifo().PopAll(&batches) > 0) {
     for (const mr::RecordBatch& batch : batches) {
       for (const mr::RecordBatch::Entry& e : batch) {
-        int64_t n = 0;
-        bool found = false;
-        if (store.Get(e.key, &partial, &found).ok() && found) {
-          DecodeI64(Slice(partial), &n);
-        }
-        if (!store.Put(e.key, Slice(EncodeI64(n + 1))).ok()) break;
+        if (!store.Fold(e.key, e.value, &reducer, nullptr).ok()) break;
       }
     }
     batches.clear();
@@ -206,25 +220,6 @@ MetricRow BenchFetchToReduce(const std::vector<std::string>& segments,
           static_cast<double>(total_records) / secs, "records/sec"};
 }
 
-/// WordCount-shaped incremental fold for the tracing-overhead pair.
-class CountReducer final : public core::IncrementalReducer {
- public:
-  std::string InitPartial(Slice) override { return EncodeI64(0); }
-  void Update(Slice, Slice value, std::string* partial,
-              mr::ReduceEmitter*) override {
-    int64_t acc = 0;
-    DecodeI64(Slice(*partial), &acc);
-    (void)value;
-    *partial = EncodeI64(acc + 1);
-  }
-  std::string MergePartials(Slice, Slice a, Slice b) override {
-    int64_t x = 0, y = 0;
-    DecodeI64(a, &x);
-    DecodeI64(b, &y);
-    return EncodeI64(x + y);
-  }
-};
-
 class NullEmitter final : public mr::ReduceEmitter {
  public:
   void Emit(Slice, Slice) override {}
@@ -232,7 +227,7 @@ class NullEmitter final : public mr::ReduceEmitter {
 
 /// The instrumented barrier-less consume path exactly as the reduce
 /// task runs it — FifoSink, batched drain with queue-wait timing, a
-/// drain-cycle span, and the sampled store Get/Update/Put cycle —
+/// drain-cycle span, and the sampled store fold —
 /// driven with `tracer` either null (tracing off) or enabled.  The
 /// traced/untraced ratio is the ISSUE 5 acceptance gate: tracing on
 /// must retain >= 90% of the untraced throughput.
@@ -380,17 +375,14 @@ void BenchCodec(const std::vector<std::string>& segments,
 
 template <typename Store>
 double StoreOpsPerSec(Store& store, const std::vector<mr::Record>& records) {
-  std::string partial;
+  CountReducer reducer;
   auto t0 = std::chrono::steady_clock::now();
   for (const mr::Record& r : records) {
-    int64_t n = 0;
-    bool found = false;
-    if (store.Get(Slice(r.key), &partial, &found).ok() && found) {
-      DecodeI64(Slice(partial), &n);
+    if (!store.Fold(Slice(r.key), Slice(r.value), &reducer, nullptr).ok()) {
+      break;
     }
-    if (!store.Put(Slice(r.key), Slice(EncodeI64(n + 1))).ok()) break;
   }
-  // One op = one Get+Put read-modify-update cycle.
+  // One op = one read-modify-update fold.
   return static_cast<double>(records.size()) / SecondsSince(t0);
 }
 

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/serde.h"
 #include "concurrency/bounded_queue.h"
+#include "core/incremental.h"
 #include "core/inmemory_store.h"
 #include "core/kvstore.h"
 #include "core/spill_merge_store.h"
@@ -26,17 +27,24 @@ std::vector<std::string> MakeKeys(size_t n, uint32_t distinct, uint64_t seed) {
   return keys;
 }
 
+/// WordCount-shaped fold: every record adds one to its key's count.
+class CountReducer final : public core::IncrementalReducer {
+ public:
+  std::string InitPartial(Slice) override { return EncodeI64(0); }
+  void Update(Slice, Slice, std::string* partial,
+              mr::ReduceEmitter*) override {
+    int64_t n = 0;
+    DecodeI64(Slice(*partial), &n);
+    *partial = EncodeI64(n + 1);
+  }
+};
+
 template <typename Store>
 void RunStoreFold(Store& store, const std::vector<std::string>& keys) {
-  std::string partial;
+  CountReducer reducer;
   for (const auto& key : keys) {
-    int64_t n = 0;
-    bool found = false;
-    if (store.Get(Slice(key), &partial, &found).ok() && found) {
-      DecodeI64(Slice(partial), &n);
-    }
-    benchmark::DoNotOptimize(
-        store.Put(Slice(key), Slice(EncodeI64(n + 1))));
+    benchmark::DoNotOptimize(store.Fold(Slice(key), Slice(), &reducer,
+                                        nullptr));
   }
 }
 
@@ -108,11 +116,13 @@ void BM_OrderedMapInsertUnique(benchmark::State& state) {
   for (int i = 0; i < 20000; ++i) {
     keys.push_back("k" + std::to_string(rng.NextU32()));
   }
+  CountReducer reducer;
   for (auto _ : state) {
     core::StoreConfig config;
     core::InMemoryStore store(config);
     for (const auto& key : keys) {
-      benchmark::DoNotOptimize(store.Put(Slice(key), ""));
+      benchmark::DoNotOptimize(store.Fold(Slice(key), Slice(), &reducer,
+                                          nullptr));
     }
   }
   state.SetItemsProcessed(state.iterations() * keys.size());

@@ -108,7 +108,7 @@ int main() {
         bmr::simmr::SimulateJob(bmr::cluster::SmallCluster(4, 2, 2), sim_job);
     std::printf("\n== One reporting schema, two execution vehicles ==\n");
     if (real.ok()) {
-      std::printf("%s", bmr::mr::FormatJobMetrics("real", real.ToMetrics())
+      std::printf("%s", bmr::mr::FormatJobMetrics("real", real)
                             .c_str());
     }
     if (sim.ok()) {

@@ -75,10 +75,4 @@ ClusterSpec SmallCluster(int slaves, int map_slots = 2, int reduce_slots = 2);
 /// homogeneous.  Deterministic in `seed`.
 void ApplyHeterogeneity(ClusterSpec* spec, double spread, uint64_t seed);
 
-/// A scheduled machine failure for the simulator / failure tests.
-struct FailureEvent {
-  double time = 0;  // virtual seconds into the job
-  int node = -1;
-};
-
 }  // namespace bmr::cluster

@@ -5,6 +5,34 @@
 
 namespace bmr::core {
 
+namespace {
+
+/// Times each Update into bmr_reduce_invoke_us; handed to the store in
+/// place of the app's reducer for sampled records only.
+struct TimedUpdate final : IncrementalReducer {
+  TimedUpdate(IncrementalReducer* r, obs::Tracer* t) : inner(r), tracer(t) {}
+  std::string InitPartial(Slice key) override {
+    return inner->InitPartial(key);
+  }
+  void Update(Slice key, Slice value, std::string* partial,
+              mr::ReduceEmitter* out) override {
+    obs::LatencyTimer invoke(tracer, obs::kHReduceInvokeUs);
+    inner->Update(key, value, partial, out);
+  }
+  IncrementalReducer* inner;
+  obs::Tracer* tracer;
+};
+
+/// PreloadPartial's fold: installs the snapshot value verbatim.
+struct InstallVerbatim final : IncrementalReducer {
+  void Update(Slice /*key*/, Slice value, std::string* partial,
+              mr::ReduceEmitter* /*out*/) override {
+    partial->assign(value.data(), value.size());
+  }
+};
+
+}  // namespace
+
 BarrierlessDriver::BarrierlessDriver(IncrementalReducer* reducer,
                                      const StoreConfig& store_config,
                                      const Config& job_config)
@@ -20,8 +48,8 @@ Status BarrierlessDriver::Consume(Slice key, Slice value,
   if (finalized_) {
     return Status::FailedPrecondition("Consume after Finalize");
   }
-  // Sampled (1 in 16) per-op latency: the Get/Update/Put cycle runs
-  // per record, so timing every op would distort the path it measures.
+  // Sampled (1 in 16) per-op latency: the fold runs per record, so
+  // timing every one would distort the path it measures.
   obs::Tracer* sampled =
       (tracer_ != nullptr && (records_consumed_ & 15) == 0) ? tracer_
                                                             : nullptr;
@@ -32,20 +60,9 @@ Status BarrierlessDriver::Consume(Slice key, Slice value,
     reducer_->Update(key, value, /*partial=*/nullptr, out);
     return Status::Ok();
   }
-  bool found = false;
-  {
-    obs::LatencyTimer get(sampled, obs::kHStoreGetUs);
-    BMR_RETURN_IF_ERROR(store_->Get(key, &partial_scratch_, &found));
-  }
-  if (!found) {
-    partial_scratch_ = reducer_->InitPartial(key);
-  }
-  {
-    obs::LatencyTimer invoke(sampled, obs::kHReduceInvokeUs);
-    reducer_->Update(key, value, &partial_scratch_, out);
-  }
-  obs::LatencyTimer put(sampled, obs::kHStorePutUs);
-  return store_->Put(key, Slice(partial_scratch_));
+  TimedUpdate timed(reducer_, sampled);
+  obs::LatencyTimer fold(sampled, obs::kHStoreFoldUs);
+  return store_->Fold(key, value, sampled != nullptr ? &timed : reducer_, out);
 }
 
 Status BarrierlessDriver::Finalize(mr::ReduceEmitter* out) {
@@ -61,7 +78,8 @@ Status BarrierlessDriver::PreloadPartial(Slice key, Slice partial) {
         "PreloadPartial must precede the first Consume");
   }
   if (!store_) return Status::Ok();  // stateless reducers: nothing to seed
-  return store_->Put(key, partial);
+  InstallVerbatim install;
+  return store_->Fold(key, partial, &install, /*out=*/nullptr);
 }
 
 Status BarrierlessDriver::EmitSnapshot(mr::ReduceEmitter* out) {

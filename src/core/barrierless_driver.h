@@ -1,12 +1,12 @@
 // The barrier-less run() driver (Section 3.1/3.2).
 //
 // Plays the role of the custom run() function the paper has the
-// programmer write: for each record popped off the shuffle FIFO it
-// fetches the key's partial result (inserting InitPartial on first
-// sight), invokes the single-record Reduce, and writes the updated
-// partial back.  After the last record it emits all finished keys in
-// key order — merging spilled fragments — and flushes reducer-internal
-// state.
+// programmer write: each record popped off the shuffle FIFO is folded
+// into its key's partial result by one PartialStore::Fold call, which
+// starts the partial from InitPartial on first sight and runs the
+// single-record Reduce on it in place.  After the last record it emits
+// all finished keys in key order — merging spilled fragments — and
+// flushes reducer-internal state.
 #pragma once
 
 #include <memory>
@@ -36,8 +36,8 @@ class BarrierlessDriver {
 
   /// Seed the store with a partial result captured by a previous run
   /// (memoization, §8).  Must be called before the first Consume; the
-  /// value is installed verbatim, no Update is invoked.  A later value
-  /// for the same key folds in through the store's normal merge path.
+  /// value is installed verbatim by a store fold, the app's Update is
+  /// not invoked.  Later records for the key fold on top of it.
   [[nodiscard]] Status PreloadPartial(Slice key, Slice partial);
 
   /// Like Finalize, but additionally appends every (key, merged
@@ -66,7 +66,6 @@ class BarrierlessDriver {
   obs::Tracer* tracer_ = nullptr;        // from StoreConfig; not owned
   uint64_t records_consumed_ = 0;
   bool finalized_ = false;
-  std::string partial_scratch_;
 };
 
 }  // namespace bmr::core

@@ -7,33 +7,20 @@ namespace bmr::core {
 InMemoryStore::InMemoryStore(const StoreConfig& config)
     : config_(config), map_(MakeOrderedPartialMap(config.key_cmp)) {}
 
-Status InMemoryStore::Get(Slice key, std::string* partial, bool* found) {
-  ++stats_.gets;
-  auto it = map_.find(key);  // transparent: no key copy
-  if (it == map_.end()) {
-    *found = false;
-    return Status::Ok();
-  }
-  *partial = it->second;
-  *found = true;
-  return Status::Ok();
-}
-
-Status InMemoryStore::Put(Slice key, Slice partial) {
-  ++stats_.puts;
+Status InMemoryStore::Fold(Slice key, Slice value, IncrementalReducer* reducer,
+                           mr::ReduceEmitter* out) {
+  ++stats_.folds;
   // Transparent lower_bound: the owning key string is materialized only
   // on a genuine insert, never on an update.
   auto it = map_.lower_bound(key);
-  bool exists = it != map_.end() && !map_.key_comp()(key, it->first);
-  if (!exists) {
-    it = map_.emplace_hint(it, key.ToString(), std::string());
-    memory_bytes_ += EntryFootprint(key.size(), partial.size());
-  } else {
-    // Replace: adjust for the value-size delta only.
-    memory_bytes_ += partial.size();
-    memory_bytes_ -= it->second.size();
+  if (it == map_.end() || map_.key_comp()(key, it->first)) {
+    it = map_.emplace_hint(it, key.ToString(), reducer->InitPartial(key));
+    memory_bytes_ += EntryFootprint(key.size(), it->second.size());
   }
-  it->second.assign(partial.data(), partial.size());
+  // Fold in place; account for the value-size delta only.
+  memory_bytes_ -= it->second.size();
+  reducer->Update(key, value, &it->second, out);
+  memory_bytes_ += it->second.size();
   stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, memory_bytes_);
   if (config_.heap_limit_bytes != 0 &&
       memory_bytes_ > config_.heap_limit_bytes) {

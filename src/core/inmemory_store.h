@@ -15,9 +15,9 @@ class InMemoryStore final : public PartialStore {
  public:
   explicit InMemoryStore(const StoreConfig& config);
 
-  [[nodiscard]] Status Get(Slice key, std::string* partial,
-                           bool* found) override;
-  [[nodiscard]] Status Put(Slice key, Slice partial) override;
+  [[nodiscard]] Status Fold(Slice key, Slice value,
+                            IncrementalReducer* reducer,
+                            mr::ReduceEmitter* out) override;
   uint64_t NumKeys() const override { return map_.size(); }
   uint64_t MemoryBytes() const override { return memory_bytes_; }
   [[nodiscard]] Status ForEachMerged(const MergeFn& merge, const EmitFn& fn) override;

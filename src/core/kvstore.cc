@@ -28,17 +28,11 @@ KvStoreBackend::~KvStoreBackend() {
   if (log_ != nullptr) std::fclose(log_);
 }
 
-void KvStoreBackend::ChargeOp() {
-  if (config_.kv_ops_per_sec > 0) {
-    stats_.charged_seconds += 1.0 / config_.kv_ops_per_sec;
-  }
-}
-
 void KvStoreBackend::Touch(LruList::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
 
-Status KvStoreBackend::WriteToLog(Slice key, Slice value, DiskLocation* loc) {
+Status KvStoreBackend::WriteToLog(Slice value, DiskLocation* loc) {
   BMR_RETURN_IF_ERROR(CheckLog());
   if (config_.fault_injector != nullptr) {
     BMR_RETURN_IF_ERROR(config_.fault_injector->OnSpillWrite(log_path_));
@@ -55,7 +49,6 @@ Status KvStoreBackend::WriteToLog(Slice key, Slice value, DiskLocation* loc) {
   loc->length = static_cast<uint32_t>(value.size());
   loc->on_disk = true;
   log_tail_ += value.size();
-  (void)key;
   return Status::Ok();
 }
 
@@ -85,8 +78,7 @@ Status KvStoreBackend::EvictIfNeeded() {
       if (idx == index_.end()) {
         return Status::Internal("kv cache entry missing from index");
       }
-      BMR_RETURN_IF_ERROR(
-          WriteToLog(Slice(victim.key), Slice(victim.value), &idx->second));
+      BMR_RETURN_IF_ERROR(WriteToLog(Slice(victim.value), &idx->second));
     }
     cache_bytes_ -= EntryFootprint(victim.key.size(), victim.value.size());
     // Heterogeneous erase is C++23; find-then-erase avoids a key copy.
@@ -98,57 +90,43 @@ Status KvStoreBackend::EvictIfNeeded() {
   return Status::Ok();
 }
 
-Status KvStoreBackend::Get(Slice key, std::string* partial, bool* found) {
-  ++stats_.gets;
-  ChargeOp();
-  *found = false;
+Status KvStoreBackend::Fold(Slice key, Slice value,
+                            IncrementalReducer* reducer,
+                            mr::ReduceEmitter* out) {
+  ++stats_.folds;
+  // A fold is the paper's read-modify-update: one read plus one write
+  // at the calibrated rate.
+  if (config_.kv_ops_per_sec > 0) {
+    stats_.charged_seconds += 2.0 / config_.kv_ops_per_sec;
+  }
   auto hit = cache_index_.find(key);  // transparent: no key copy
   if (hit != cache_index_.end()) {
     ++cache_hits_;
     Touch(hit->second);
-    *partial = hit->second->value;
-    *found = true;
-    return Status::Ok();
+  } else {
+    // Only a cache miss materializes an owning key.
+    std::string partial;
+    auto idx = index_.find(key);
+    if (idx != index_.end() && idx->second.on_disk) {
+      ++cache_misses_;
+      BMR_RETURN_IF_ERROR(ReadFromLog(idx->second, &partial));
+    } else {
+      // New key: enter it in the directory (location filled on evict).
+      index_.try_emplace(key.ToString());
+      partial = reducer->InitPartial(key);
+    }
+    lru_.push_front(CacheEntry{key.ToString(), std::move(partial)});
+    hit = cache_index_.emplace(lru_.front().key, lru_.begin()).first;
+    cache_bytes_ += EntryFootprint(key.size(), lru_.front().value.size());
   }
-  auto idx = index_.find(key);
-  if (idx == index_.end() || !idx->second.on_disk) return Status::Ok();
-  ++cache_misses_;
-  std::string value;
-  BMR_RETURN_IF_ERROR(ReadFromLog(idx->second, &value));
-  // Install in cache (clean: disk already has this version).
-  lru_.push_front(CacheEntry{key.ToString(), value, /*dirty=*/false});
-  cache_index_[lru_.front().key] = lru_.begin();
-  cache_bytes_ += EntryFootprint(key.size(), value.size());
+  CacheEntry& entry = *hit->second;
+  cache_bytes_ -= entry.value.size();
+  reducer->Update(key, value, &entry.value, out);
+  cache_bytes_ += entry.value.size();
+  entry.dirty = true;
+  stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, cache_bytes_);
   // Eviction to make room may have to write back a dirty victim; a
   // failed write-back is lost data and must surface, not be swallowed.
-  BMR_RETURN_IF_ERROR(EvictIfNeeded());
-  *partial = std::move(value);
-  *found = true;
-  return Status::Ok();
-}
-
-Status KvStoreBackend::Put(Slice key, Slice partial) {
-  ++stats_.puts;
-  ChargeOp();
-  auto hit = cache_index_.find(key);  // transparent: no key copy
-  if (hit != cache_index_.end()) {
-    CacheEntry& entry = *hit->second;
-    cache_bytes_ += partial.size();
-    cache_bytes_ -= entry.value.size();
-    entry.value.assign(partial.data(), partial.size());
-    entry.dirty = true;
-    Touch(hit->second);
-  } else {
-    // Ensure the key exists in the directory (location filled on
-    // evict).  Only this insert path materializes an owning key.
-    std::string k = key.ToString();
-    index_.try_emplace(k);
-    lru_.push_front(CacheEntry{std::move(k), partial.ToString(),
-                               /*dirty=*/true});
-    cache_index_[lru_.front().key] = lru_.begin();
-    cache_bytes_ += EntryFootprint(key.size(), partial.size());
-  }
-  stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, cache_bytes_);
   return EvictIfNeeded();
 }
 

@@ -28,9 +28,9 @@ class KvStoreBackend final : public PartialStore {
   explicit KvStoreBackend(const StoreConfig& config);
   ~KvStoreBackend() override;
 
-  [[nodiscard]] Status Get(Slice key, std::string* partial,
-                           bool* found) override;
-  [[nodiscard]] Status Put(Slice key, Slice partial) override;
+  [[nodiscard]] Status Fold(Slice key, Slice value,
+                            IncrementalReducer* reducer,
+                            mr::ReduceEmitter* out) override;
   uint64_t NumKeys() const override { return index_.size(); }
   uint64_t MemoryBytes() const override { return cache_bytes_; }
   [[nodiscard]] Status ForEachMerged(const MergeFn& merge, const EmitFn& fn) override;
@@ -56,10 +56,9 @@ class KvStoreBackend final : public PartialStore {
   using LruList = std::list<CacheEntry>;
 
   [[nodiscard]] Status ScanAll(const EmitFn& fn);
-  void ChargeOp();
   void Touch(LruList::iterator it);
   [[nodiscard]] Status EvictIfNeeded();
-  [[nodiscard]] Status WriteToLog(Slice key, Slice value, DiskLocation* loc);
+  [[nodiscard]] Status WriteToLog(Slice value, DiskLocation* loc);
   [[nodiscard]] Status ReadFromLog(const DiskLocation& loc, std::string* value);
   /// Ok iff the backing log file opened; otherwise an explanatory error.
   [[nodiscard]] Status CheckLog() const;

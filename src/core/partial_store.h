@@ -22,6 +22,8 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "core/incremental.h"
+#include "mr/emitter.h"
 #include "mr/types.h"
 
 namespace bmr::faults {
@@ -60,7 +62,7 @@ struct StoreConfig {
   /// Optional fault injector consulted on every spill-file write/read
   /// (chaos testing).  Not owned; null = no injection.
   faults::FaultInjector* fault_injector = nullptr;
-  /// Optional tracer: store.spill spans plus sampled Get/Put latency
+  /// Optional tracer: store.spill spans plus sampled Fold latency
   /// (recorded by the BarrierlessDriver).  Not owned; null = off.
   obs::Tracer* tracer = nullptr;
 };
@@ -76,8 +78,7 @@ inline uint64_t EntryFootprint(size_t key_size, size_t value_size) {
 /// Cumulative statistics a store exposes for benches and the simulator's
 /// cost calibration.
 struct StoreStats {
-  uint64_t gets = 0;
-  uint64_t puts = 0;
+  uint64_t folds = 0;
   uint64_t spills = 0;           // spill-file flushes
   uint64_t spilled_bytes = 0;
   uint64_t disk_reads = 0;       // KV store cache misses
@@ -94,17 +95,17 @@ class PartialStore {
  public:
   virtual ~PartialStore() = default;
 
-  /// Fetch the current partial result for `key`.  `*found` reports
-  /// presence; the Status carries I/O errors (a disk-backed store may
-  /// have to page the value in, or evict a dirty victim to make room —
-  /// a failed victim write-back is data loss and must be loud, not
-  /// swallowed).  On error `*found` is false and `*partial` untouched.
-  [[nodiscard]] virtual Status Get(Slice key, std::string* partial,
-                                   bool* found) = 0;
-
-  /// Insert or replace the partial result for `key`.  May return
-  /// RESOURCE_EXHAUSTED (in-memory store at its heap cap) or I/O errors.
-  [[nodiscard]] virtual Status Put(Slice key, Slice partial) = 0;
+  /// Fold one arriving record into `key`'s partial result with a single
+  /// lookup: a key seen for the first time starts from
+  /// `reducer->InitPartial(key)`, then `reducer->Update(key, value,
+  /// &partial, out)` mutates the stored partial.  May return
+  /// RESOURCE_EXHAUSTED (heap cap) or I/O errors — a disk-backed store
+  /// may have to page the partial in, or evict a dirty victim to make
+  /// room, and a failed victim write-back is data loss that must be
+  /// loud, not swallowed.
+  [[nodiscard]] virtual Status Fold(Slice key, Slice value,
+                                    IncrementalReducer* reducer,
+                                    mr::ReduceEmitter* out) = 0;
 
   /// Number of keys currently tracked (including spilled ones).
   virtual uint64_t NumKeys() const = 0;

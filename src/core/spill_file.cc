@@ -67,6 +67,7 @@ Status SpillFileReader::Open() {
 
 Status SpillFileReader::FillBuffer(size_t need) {
   // Compact consumed prefix, then top up to at least `need` available.
+  // A short fread is end of file only if the stream reports no error.
   if (buffer_pos_ > 0) {
     buffer_.erase(0, buffer_pos_);
     buffer_pos_ = 0;
@@ -78,7 +79,12 @@ Status SpillFileReader::FillBuffer(size_t need) {
     size_t n = std::fread(buffer_.data() + old, 1, chunk, file_);
     buffer_.resize(old + n);
     bytes_read_ += n;
-    if (n < chunk) eof_ = true;
+    if (n < chunk) {
+      if (std::ferror(file_) != 0) {
+        return Status::DataLoss("spill file read failed: " + path_);
+      }
+      eof_ = true;
+    }
   }
   if (buffer_.size() < need) {
     return Status::DataLoss("truncated spill file: " + path_);
@@ -117,17 +123,15 @@ Status SpillFileReader::Next(std::string* key, std::string* value,
   if (injector_ != nullptr) {
     BMR_RETURN_IF_ERROR(injector_->OnSpillRead(path_));
   }
-  // End of file is only legitimate exactly at a record boundary.
-  if (buffer_pos_ >= buffer_.size() && eof_) {
-    *has_record = false;
-    return Status::Ok();
-  }
+  // End of file is only legitimate exactly at a record boundary; a
+  // failed read there is an error, not end of file.
   if (buffer_pos_ >= buffer_.size()) {
     Status st = FillBuffer(1);
-    if (!st.ok() || (buffer_pos_ >= buffer_.size() && eof_)) {
+    if (buffer_.empty() && eof_) {
       *has_record = false;
       return Status::Ok();
     }
+    BMR_RETURN_IF_ERROR(st);
   }
   uint64_t klen, vlen;
   BMR_RETURN_IF_ERROR(ReadVarint(&klen));

@@ -14,33 +14,29 @@ SpillMergeStore::SpillMergeStore(const StoreConfig& config)
       scratch_(config.scratch_dir),
       memtable_(MakeOrderedPartialMap(config.key_cmp)) {}
 
-Status SpillMergeStore::Get(Slice key, std::string* partial, bool* found) {
-  ++stats_.gets;
+Status SpillMergeStore::Fold(Slice key, Slice value,
+                             IncrementalReducer* reducer,
+                             mr::ReduceEmitter* out) {
+  ++stats_.folds;
   // Only the memtable is consulted: spilled fragments stay on disk and
   // are reconciled in the merge phase.  A key that was spilled restarts
   // from InitPartial, exactly as in the paper's scheme.
-  auto it = memtable_.find(key);  // transparent: no key copy
-  if (it == memtable_.end()) {
-    *found = false;
-    return Status::Ok();
-  }
-  *partial = it->second;
-  *found = true;
-  return Status::Ok();
-}
-
-Status SpillMergeStore::Put(Slice key, Slice partial) {
-  ++stats_.puts;
-  auto it = memtable_.lower_bound(key);
+  auto it = memtable_.lower_bound(key);  // transparent: no key copy
   bool exists = it != memtable_.end() && !memtable_.key_comp()(key, it->first);
+  if (exists) {
+    fold_scratch_.assign(it->second);
+  } else {
+    fold_scratch_ = reducer->InitPartial(key);
+  }
+  reducer->Update(key, value, &fold_scratch_, out);
 
   // Check the heap cap on the *prospective* footprint, before touching
-  // the memtable: a rejected Put must leave the store (keys, bytes,
+  // the memtable: a rejected fold must leave the store (keys, bytes,
   // peak stats) exactly as it found it, so the OOM boundary is
   // observable and consistent.
   uint64_t new_bytes =
-      exists ? memory_bytes_ + partial.size() - it->second.size()
-             : memory_bytes_ + EntryFootprint(key.size(), partial.size());
+      exists ? memory_bytes_ + fold_scratch_.size() - it->second.size()
+             : memory_bytes_ + EntryFootprint(key.size(), fold_scratch_.size());
   if (config_.heap_limit_bytes != 0 && new_bytes > config_.heap_limit_bytes) {
     return Status::ResourceExhausted("spill store exceeded heap cap");
   }
@@ -48,13 +44,14 @@ Status SpillMergeStore::Put(Slice key, Slice partial) {
   if (!exists) {
     it = memtable_.emplace_hint(it, key.ToString(), std::string());
     ++approx_keys_;
-    ++memtable_keys_;
   }
-  it->second.assign(partial.data(), partial.size());
+  // Swap rather than copy: the old partial's buffer becomes the next
+  // fold's scratch.
+  it->second.swap(fold_scratch_);
   memory_bytes_ = new_bytes;
   stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, memory_bytes_);
 
-  if (memory_bytes_ >= config_.spill_threshold_bytes && !memtable_.empty()) {
+  if (memory_bytes_ >= config_.spill_threshold_bytes) {
     return SpillNow();
   }
   return Status::Ok();
@@ -84,7 +81,6 @@ Status SpillMergeStore::SpillNow() {
   }
   memtable_.clear();
   memory_bytes_ = 0;
-  memtable_keys_ = 0;
   return Status::Ok();
 }
 
@@ -94,7 +90,6 @@ Status SpillMergeStore::ForEachMerged(const MergeFn& merge, const EmitFn& fn) {
   BMR_RETURN_IF_ERROR(MergeScan(merge, fn));
   memtable_.clear();
   memory_bytes_ = 0;
-  memtable_keys_ = 0;
   approx_keys_ = 0;
   return Status::Ok();
 }

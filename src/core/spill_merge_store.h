@@ -22,9 +22,9 @@ class SpillMergeStore final : public PartialStore {
  public:
   explicit SpillMergeStore(const StoreConfig& config);
 
-  [[nodiscard]] Status Get(Slice key, std::string* partial,
-                           bool* found) override;
-  [[nodiscard]] Status Put(Slice key, Slice partial) override;
+  [[nodiscard]] Status Fold(Slice key, Slice value,
+                            IncrementalReducer* reducer,
+                            mr::ReduceEmitter* out) override;
   uint64_t NumKeys() const override;
   uint64_t MemoryBytes() const override { return memory_bytes_; }
   [[nodiscard]] Status ForEachMerged(const MergeFn& merge, const EmitFn& fn) override;
@@ -49,8 +49,10 @@ class SpillMergeStore final : public PartialStore {
   /// Upper bound on distinct keys (over-counts keys split across
   /// spills); exact count requires the merge pass.
   uint64_t approx_keys_ = 0;
-  uint64_t memtable_keys_ = 0;
   std::vector<std::string> spill_paths_;
+  /// Fold target: a partial is updated here and swapped into the
+  /// memtable only once its footprint fits under the heap cap.
+  std::string fold_scratch_;
   StoreStats stats_;
 };
 

@@ -311,6 +311,9 @@ JobResult JobExecution::Run() {
   // Every reducer has drained and every map completed: flush any encode
   // still in flight so the codec byte counts below are complete.
   shuffle_->DrainPublishes();
+  static_cast<JobMetrics&>(result) = metrics_.Snapshot();
+  result.rpc_handler_reregistrations =
+      cluster_->transport->handler_reregistrations();
   SegmentEncodeStats encode_stats = shuffle_->encode_stats();
   result.data_plane.codec_raw_bytes = encode_stats.raw_bytes;
   result.data_plane.codec_wire_bytes = encode_stats.wire_bytes;
@@ -321,8 +324,6 @@ JobResult JobExecution::Run() {
   result.data_plane.arena_buffer_reuses = pool_stats.reuses;
   result.data_plane.arena_cached_bytes = pool_stats.cached_bytes;
 
-  // Assemble the result from the metrics layer.
-  JobMetrics metrics = metrics_.Snapshot();
   result.status = control_->status();
 
   // Post-mortem flight dump (GUIDE §15): anything that requested one
@@ -355,42 +356,10 @@ JobResult JobExecution::Run() {
       }
     }
   }
-  result.elapsed_seconds = metrics.elapsed_seconds;
-  result.first_map_done = metrics.first_map_done;
-  result.last_map_done = metrics.last_map_done;
-  result.counters = std::move(metrics.counters);
-  result.events = std::move(metrics.events);
-  result.memory_samples = std::move(metrics.memory_samples);
-  result.output_files = std::move(metrics.output_files);
-  result.rpc_handler_reregistrations =
-      cluster_->transport->handler_reregistrations();
-  result.trace_enabled = metrics.trace_enabled;
-  result.trace = std::move(metrics.trace);
-  result.histograms = std::move(metrics.histograms);
-  result.spans_dropped = metrics.spans_dropped;
   return result;
 }
 
 }  // namespace
-
-JobMetrics JobResult::ToMetrics() const {
-  JobMetrics m;
-  m.counters = counters;
-  m.events = events;
-  m.memory_samples = memory_samples;
-  m.output_files = output_files;
-  m.elapsed_seconds = elapsed_seconds;
-  m.first_map_done = first_map_done;
-  m.last_map_done = last_map_done;
-  m.rpc_handler_reregistrations = rpc_handler_reregistrations;
-  m.data_plane = data_plane;
-  m.trace_enabled = trace_enabled;
-  m.trace = trace;
-  m.histograms = histograms;
-  m.spans_dropped = spans_dropped;
-  m.flight_dumps = flight_dumps;
-  return m;
-}
 
 JobResult JobRunner::Run(const JobSpec& spec) {
   // Job-level recovery of last resort: when task-level recovery could

@@ -74,36 +74,16 @@ struct ClusterContext {
   void InstallFaultInjector(faults::FaultInjector* injector);
 };
 
-struct JobResult {
+/// A finished run: the metrics schema shared with the simulator
+/// (simmr::ToJobMetrics), plus the run's outcome.
+struct JobResult : JobMetrics {
   Status status;
-  double elapsed_seconds = 0;
-  double first_map_done = 0;
-  double last_map_done = 0;
-  Counters counters;
-  std::vector<TaskEvent> events;
-  std::vector<std::string> output_files;
-  std::vector<MemorySample> memory_samples;
-  uint64_t rpc_handler_reregistrations = 0;
-  /// Shuffle codec byte counts + pooled-memory counters (GUIDE §13).
-  DataPlaneStats data_plane;
-  /// Filled when the run had obs.trace=on (see mr/obs_export.h).
-  bool trace_enabled = false;
-  obs::TraceLog trace;
-  std::map<std::string, LogHistogram> histograms;
-  /// Spans lost at the tracer's central-log cap (GUIDE §15).
-  uint64_t spans_dropped = 0;
-  /// Flight-recorder artifacts this run dumped (0 or 1).
-  uint64_t flight_dumps = 0;
 
   bool ok() const { return status.ok(); }
   /// True when the job died of partial-result heap overflow (Fig 5a).
   bool failed_oom() const {
     return status.code() == StatusCode::kResourceExhausted;
   }
-
-  /// The run's metrics in the schema shared with the simulator
-  /// (simmr::ToJobMetrics), for uniform reporting.
-  JobMetrics ToMetrics() const;
 };
 
 class JobRunner {

@@ -381,8 +381,7 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
   if (const core::PartialStore* store = driver.store()) {
     ctx->counters()->Add(kCtrSpills, store->stats().spills);
     ctx->counters()->Add(kCtrSpilledBytes, store->stats().spilled_bytes);
-    ctx->counters()->Add(kCtrKvStoreOps,
-                         store->stats().gets + store->stats().puts);
+    ctx->counters()->Add(kCtrKvStoreOps, store->stats().folds);
   }
   BMR_RETURN_IF_ERROR(st);
   metrics_->SampleMemory(r, driver.MemoryBytes());

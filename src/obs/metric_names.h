@@ -22,9 +22,9 @@ inline constexpr const char* kHShuffleQueuePushWaitUs =
 /// One incremental Reduce invocation (barrier-less Update, or one
 /// grouped Reduce call in barrier mode).  Sampled.
 inline constexpr const char* kHReduceInvokeUs = "bmr_reduce_invoke_us";
-/// Partial-store point ops (barrier-less fold).  Sampled.
-inline constexpr const char* kHStoreGetUs = "bmr_store_get_us";
-inline constexpr const char* kHStorePutUs = "bmr_store_put_us";
+/// One PartialStore::Fold: lookup, Update in place, accounting.
+/// Sampled.
+inline constexpr const char* kHStoreFoldUs = "bmr_store_fold_us";
 /// One spill-file flush of the spill-merge store.
 inline constexpr const char* kHStoreSpillUs = "bmr_store_spill_us";
 /// One transport Call, end to end (handler included): one series per

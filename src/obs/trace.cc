@@ -37,24 +37,17 @@ void Tracer::Enable(const TracerOptions& options) {
 
 TraceContext Tracer::CurrentContext() const {
   TraceContext ctx;
-#if !defined(BMR_OBS_COMPILED_OUT)
   if (!enabled()) return ctx;
   ctx.trace_id = generation_;
   SpanId current = t_current_span;
   ctx.parent_span = current != 0 ? current : root_span();
   ctx.flags = kTraceFlagSampled;
-#endif
   return ctx;
 }
 
 SpanId Tracer::PropagatedParent(const TraceContext& ctx) const {
-#if defined(BMR_OBS_COMPILED_OUT)
-  (void)ctx;
-  return 0;
-#else
   if (!enabled() || !ctx.valid() || ctx.trace_id != generation_) return 0;
   return ctx.parent_span;
-#endif
 }
 
 Tracer::ThreadBuffer* Tracer::LocalBuffer() {
@@ -76,10 +69,6 @@ Tracer::ThreadBuffer* Tracer::LocalBuffer() {
 }
 
 void Tracer::EmitSpan(Span span) {
-#if defined(BMR_OBS_COMPILED_OUT)
-  (void)span;
-  return;
-#else
   if (!enabled()) return;
   ThreadBuffer* buffer = LocalBuffer();
   span.tid = buffer->tid;
@@ -97,7 +86,6 @@ void Tracer::EmitSpan(Span span) {
     // two never nest, so neither order edge exists.
     FlushToCentral(&overflow);
   }
-#endif
 }
 
 void Tracer::FlushToCentral(std::vector<Span>* spans) {
@@ -117,25 +105,15 @@ void Tracer::FlushToCentral(std::vector<Span>* spans) {
 }
 
 void Tracer::RecordLatency(const char* name, uint64_t micros) {
-#if defined(BMR_OBS_COMPILED_OUT)
-  (void)name;
-  (void)micros;
-#else
   if (!enabled()) return;
   MutexLock lock(hist_mu_);
   histograms_[name].Add(micros);
-#endif
 }
 
 void Tracer::MergeHistogram(const char* name, const LogHistogram& h) {
-#if defined(BMR_OBS_COMPILED_OUT)
-  (void)name;
-  (void)h;
-#else
   if (!enabled() || h.count() == 0) return;
   MutexLock lock(hist_mu_);
   histograms_[name].Merge(h);
-#endif
 }
 
 TraceLog Tracer::CollectTrace() {
@@ -179,7 +157,6 @@ SpanId CurrentSpan() { return t_current_span; }
 
 ScopedSpan::ScopedSpan(Tracer* tracer, const char* name, const char* category,
                        int64_t arg, SpanId parent) {
-#if !defined(BMR_OBS_COMPILED_OUT)
   if (tracer == nullptr || !tracer->enabled()) return;
   tracer_ = tracer;
   span_.id = tracer->NextSpanId();
@@ -193,13 +170,6 @@ ScopedSpan::ScopedSpan(Tracer* tracer, const char* name, const char* category,
   span_.start_s = tracer->Now();
   prev_current_ = t_current_span;
   t_current_span = span_.id;
-#else
-  (void)tracer;
-  (void)name;
-  (void)category;
-  (void)arg;
-  (void)parent;
-#endif
 }
 
 ScopedSpan::~ScopedSpan() {

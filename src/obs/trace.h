@@ -7,10 +7,8 @@
 // export.  Latency samples land in named LogHistograms.
 //
 // Cost discipline: every recording entry point is gated on enabled()
-// — a null check plus one relaxed atomic load when tracing is off —
-// and the whole layer compiles to nothing when BMR_OBS_COMPILED_OUT
-// is defined (the "near-zero when disabled" knob of ISSUE 5; the
-// runtime gate is the `obs.trace` job-config key).
+// — a null check plus one relaxed atomic load when tracing is off; the
+// runtime gate is the `obs.trace` job-config key.
 #pragma once
 
 #include <atomic>
@@ -186,9 +184,6 @@ class LatencyTimer {
   LatencyTimer(Tracer* tracer, const char* name)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
         name_(name) {
-#if defined(BMR_OBS_COMPILED_OUT)
-    tracer_ = nullptr;
-#endif
     if (tracer_ != nullptr) watch_.Restart();
   }
   ~LatencyTimer() {

@@ -54,7 +54,7 @@ SimResult SimulateJob(const cluster::ClusterSpec& cluster, const SimJob& job);
 double ImprovementPercent(const cluster::ClusterSpec& cluster, SimJob job);
 
 /// Project a SimResult onto the reporting schema shared with the real
-/// engine (mr::MetricsRegistry::Snapshot / mr::JobResult::ToMetrics),
+/// engine (mr::MetricsRegistry::Snapshot, the base of mr::JobResult),
 /// using the engine's counter names, so real and simulated runs print
 /// and compare through one code path.
 mr::JobMetrics ToJobMetrics(const SimResult& result);

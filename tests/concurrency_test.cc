@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "concurrency/bounded_queue.h"
-#include "concurrency/rate_limiter.h"
 #include "concurrency/thread_pool.h"
 
 namespace bmr {
@@ -134,28 +133,6 @@ TEST(CountdownLatchTest, ReleasesAtZero) {
   waiter.join();
   EXPECT_TRUE(released.load());
   EXPECT_EQ(latch.pending(), 0);
-}
-
-TEST(VirtualRateLimiterTest, BurstThenPacing) {
-  VirtualRateLimiter limiter(/*rate=*/100.0, /*burst=*/10.0);
-  // First 10 tokens are free (burst).
-  EXPECT_DOUBLE_EQ(limiter.Acquire(0.0, 10.0), 0.0);
-  // The next 100 tokens take 1 second at rate 100/s.
-  EXPECT_NEAR(limiter.Acquire(0.0, 100.0), 1.0, 1e-9);
-  // A request arriving later sees refilled tokens.
-  EXPECT_NEAR(limiter.Acquire(2.0, 5.0), 2.0, 1e-9);
-}
-
-TEST(VirtualRateLimiterTest, NeverTravelsBackInTime) {
-  VirtualRateLimiter limiter(10.0, 1.0);
-  double t = 0;
-  for (int i = 0; i < 100; ++i) {
-    double ready = limiter.Acquire(t, 1.0);
-    EXPECT_GE(ready, t);
-    t = ready;
-  }
-  // 100 tokens at 10/s from a 1-token burst: ~9.9s.
-  EXPECT_NEAR(t, 9.9, 0.2);
 }
 
 }  // namespace

@@ -51,15 +51,15 @@ TEST(Tracer, DisabledTracerRecordsNothing) {
     obs::ScopedSpan span(&tracer, "noop", "test");
     EXPECT_EQ(span.id(), 0u);
     EXPECT_EQ(obs::CurrentSpan(), 0u);
-    obs::LatencyTimer timer(&tracer, obs::kHStoreGetUs);
+    obs::LatencyTimer timer(&tracer, obs::kHStoreFoldUs);
   }
-  tracer.RecordLatency(obs::kHStoreGetUs, 5);
+  tracer.RecordLatency(obs::kHStoreFoldUs, 5);
   EXPECT_TRUE(tracer.CollectTrace().spans.empty());
   EXPECT_TRUE(tracer.SnapshotHistograms().empty());
 
   // Null tracer: the instrumented call sites pass nullptr freely.
   obs::ScopedSpan null_span(nullptr, "noop", "test");
-  obs::LatencyTimer null_timer(nullptr, obs::kHStoreGetUs);
+  obs::LatencyTimer null_timer(nullptr, obs::kHStoreFoldUs);
   EXPECT_EQ(null_span.id(), 0u);
 }
 
@@ -146,18 +146,18 @@ TEST(Tracer, ThreadsGetDistinctLanesAndExplicitParents) {
 TEST(Tracer, LatencyHistogramsAccumulateAndMerge) {
   obs::Tracer tracer;
   tracer.Enable();
-  tracer.RecordLatency(obs::kHStoreGetUs, 3);
-  tracer.RecordLatency(obs::kHStoreGetUs, 100);
+  tracer.RecordLatency(obs::kHStoreFoldUs, 3);
+  tracer.RecordLatency(obs::kHStoreFoldUs, 100);
 
   LogHistogram local;
   local.Add(7);
   local.Add(9);
-  tracer.MergeHistogram(obs::kHStoreGetUs, local);
-  tracer.MergeHistogram(obs::kHStorePutUs, LogHistogram());  // empty: no-op
+  tracer.MergeHistogram(obs::kHStoreFoldUs, local);
+  tracer.MergeHistogram(obs::kHStoreSpillUs, LogHistogram());  // empty: no-op
 
   auto histograms = tracer.SnapshotHistograms();
   ASSERT_EQ(histograms.size(), 1u);
-  const LogHistogram& h = histograms.at(obs::kHStoreGetUs);
+  const LogHistogram& h = histograms.at(obs::kHStoreFoldUs);
   EXPECT_EQ(h.count(), 4u);
   EXPECT_EQ(h.sum(), 119u);
   EXPECT_EQ(h.min(), 3u);
@@ -388,17 +388,17 @@ TEST(Exporters, PrometheusValidatorEnforcesNamingAndCoherence) {
   EXPECT_FALSE(obs::ValidatePrometheusText("bmr_job_stuff 1\n").ok());
   // Histogram whose cumulative buckets decrease.
   EXPECT_FALSE(obs::ValidatePrometheusText(
-                   "bmr_store_get_us_bucket{le=\"1\"} 5\n"
-                   "bmr_store_get_us_bucket{le=\"3\"} 2\n"
-                   "bmr_store_get_us_bucket{le=\"+Inf\"} 5\n"
-                   "bmr_store_get_us_sum 9\n"
-                   "bmr_store_get_us_count 5\n")
+                   "bmr_store_fold_us_bucket{le=\"1\"} 5\n"
+                   "bmr_store_fold_us_bucket{le=\"3\"} 2\n"
+                   "bmr_store_fold_us_bucket{le=\"+Inf\"} 5\n"
+                   "bmr_store_fold_us_sum 9\n"
+                   "bmr_store_fold_us_count 5\n")
                    .ok());
   // +Inf bucket disagreeing with _count.
   EXPECT_FALSE(obs::ValidatePrometheusText(
-                   "bmr_store_get_us_bucket{le=\"+Inf\"} 4\n"
-                   "bmr_store_get_us_sum 9\n"
-                   "bmr_store_get_us_count 5\n")
+                   "bmr_store_fold_us_bucket{le=\"+Inf\"} 4\n"
+                   "bmr_store_fold_us_sum 9\n"
+                   "bmr_store_fold_us_count 5\n")
                    .ok());
 }
 
@@ -616,17 +616,16 @@ TEST(EngineTracing, TracedRunProducesNestedSpansAndHistograms) {
 
   for (const char* name :
        {obs::kHShuffleFetchRttUs, obs::kHShuffleQueueWaitUs,
-        obs::kHReduceInvokeUs, obs::kHStoreGetUs, obs::kHStorePutUs,
-        obs::kHRpcCallInprocUs, obs::kHOutputWriteUs}) {
+        obs::kHReduceInvokeUs, obs::kHStoreFoldUs, obs::kHRpcCallInprocUs,
+        obs::kHOutputWriteUs}) {
     auto it = result.histograms.find(name);
     ASSERT_NE(it, result.histograms.end()) << name;
     EXPECT_GT(it->second.count(), 0u) << name;
   }
 
   // The full artifact path (serialize -> self-validate -> write).
-  mr::JobMetrics metrics = result.ToMetrics();
   std::string dir = ::testing::TempDir();
-  Status st = mr::WriteTraceArtifacts(metrics, dir + "/obs_trace.json",
+  Status st = mr::WriteTraceArtifacts(result, dir + "/obs_trace.json",
                                       dir + "/obs_metrics.prom");
   EXPECT_TRUE(st.ok()) << st;
 }
@@ -652,9 +651,8 @@ TEST(EngineTracing, HandlerSpansStitchUnderPropagatedParents) {
   EXPECT_GT(handlers, 0u);
 
   // The stitched tree passes the strict (orphan-rejecting) validator.
-  mr::JobMetrics metrics = result.ToMetrics();
   const std::string json =
-      obs::PerfettoTraceJson(mr::BuildTraceLog(metrics));
+      obs::PerfettoTraceJson(mr::BuildTraceLog(result));
   Status st = obs::ValidatePerfettoJson(json, /*min_spans=*/10,
                                         /*require_parents=*/true);
   EXPECT_TRUE(st.ok()) << st;
@@ -761,10 +759,9 @@ TEST(EngineTracing, InjectedFaultsAppearInPrometheusExposition) {
   ASSERT_TRUE(result.ok()) << result.status;  // fetch retries recover
   ASSERT_EQ(injector.injected(faults::FaultKind::kFetchTimeout), 2u);
 
-  mr::JobMetrics metrics = result.ToMetrics();
-  EXPECT_EQ(metrics.counters.Get("fault_injected_fetch_timeout"), 2u);
+  EXPECT_EQ(result.counters.Get("fault_injected_fetch_timeout"), 2u);
   const std::string text =
-      obs::PrometheusText(mr::BuildMetricsSnapshot(metrics));
+      obs::PrometheusText(mr::BuildMetricsSnapshot(result));
   Status st = obs::ValidatePrometheusText(text);
   EXPECT_TRUE(st.ok()) << st;
   EXPECT_NE(text.find("bmr_faults_injected_total{kind=\"fetch_timeout\"} 2"),
@@ -793,7 +790,7 @@ TEST(GoldenText, FormatJobMetricsIsStable) {
 
   LogHistogram h;
   h.Add(3);
-  m.histograms[obs::kHStoreGetUs] = h;
+  m.histograms[obs::kHStoreFoldUs] = h;
   EXPECT_EQ(
       mr::FormatJobMetrics("gold", m),
       "[gold] elapsed 1.500s  maps done 0.250s..0.750s\n"
@@ -801,7 +798,7 @@ TEST(GoldenText, FormatJobMetricsIsStable) {
       "[gold]   map_input_records                100\n"
       "[gold]   reduce_output_records            40\n"
       "[gold] 1 latency histograms\n"
-      "[gold]   bmr_store_get_us                     "
+      "[gold]   bmr_store_fold_us                    "
       "count 1        mean 3.0        p50<=3        p95<=3        p99<=3  "
       "      max 3\n");
 }

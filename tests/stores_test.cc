@@ -1,12 +1,16 @@
 // Partial-result store tests: correctness of all three Section-5
-// schemes and their equivalence under random workloads.
+// schemes and their equivalence under random workloads, all driven
+// through the single PartialStore::Fold entry point.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <vector>
 
+#include "common/config.h"
 #include "common/rng.h"
 #include "common/serde.h"
+#include "core/barrierless_driver.h"
 #include "core/inmemory_store.h"
 #include "core/kvstore.h"
 #include "core/partial_store.h"
@@ -14,51 +18,119 @@
 #include "core/spill_merge_store.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
+#include "mr/emitter.h"
 
 namespace bmr::core {
 namespace {
 
-/// Get that fails the test on an I/O error; returns presence.
-bool GetOk(PartialStore& store, Slice key, std::string* partial) {
-  bool found = false;
-  Status st = store.Get(key, partial, &found);
-  EXPECT_TRUE(st.ok()) << st;
-  return found;
-}
-
-/// Counting workload: Put(key, old+1) read-modify-update, like
-/// barrier-less WordCount.
-std::map<std::string, int64_t> DriveCounts(PartialStore* store,
-                                           const std::vector<std::string>& keys,
-                                           Status* final_status) {
-  for (const auto& key : keys) {
-    std::string partial;
-    int64_t n = 0;
-    bool found = false;
-    Status get_st = store->Get(Slice(key), &partial, &found);
-    if (!get_st.ok()) {
-      *final_status = get_st;
-      return {};
-    }
-    if (found) DecodeI64(Slice(partial), &n);
-    Status st = store->Put(Slice(key), Slice(EncodeI64(n + 1)));
-    if (!st.ok()) {
-      *final_status = st;
-      return {};
-    }
+/// WordCount-shaped fold: each record adds one to its key's count.
+/// Counts InitPartial calls so tests can see when a key starts afresh.
+class CountReducer final : public IncrementalReducer {
+ public:
+  std::string InitPartial(Slice) override {
+    ++inits;
+    return EncodeI64(0);
   }
-  std::map<std::string, int64_t> result;
-  auto merge = [](Slice, Slice a, Slice b) {
+  void Update(Slice, Slice, std::string* partial,
+              mr::ReduceEmitter*) override {
+    int64_t n = 0;
+    DecodeI64(Slice(*partial), &n);
+    *partial = EncodeI64(n + 1);
+  }
+  std::string MergePartials(Slice, Slice a, Slice b) override {
     int64_t x = 0, y = 0;
     DecodeI64(a, &x);
     DecodeI64(b, &y);
     return EncodeI64(x + y);
-  };
-  *final_status = store->ForEachMerged(merge, [&result](Slice k, Slice v) {
-    int64_t n = 0;
-    DecodeI64(v, &n);
-    result[k.ToString()] += n;
-  });
+  }
+
+  int inits = 0;
+};
+
+/// Last write wins: the record's value replaces the partial.  The
+/// default MergePartials (keep the later fragment) matches.
+class LastWriteWins final : public IncrementalReducer {
+ public:
+  void Update(Slice, Slice value, std::string* partial,
+              mr::ReduceEmitter*) override {
+    partial->assign(value.data(), value.size());
+  }
+};
+
+/// Last.fm-shaped partial: the sorted set of distinct values seen for
+/// the key, one per line.  Grows with every new value (O(records)).
+class SetReducer final : public IncrementalReducer {
+ public:
+  void Update(Slice, Slice value, std::string* partial,
+              mr::ReduceEmitter*) override {
+    std::set<std::string> members = Parse(Slice(*partial));
+    members.insert(value.ToString());
+    *partial = Serialize(members);
+  }
+  std::string MergePartials(Slice, Slice a, Slice b) override {
+    std::set<std::string> members = Parse(a);
+    members.merge(Parse(b));
+    return Serialize(members);
+  }
+
+  static std::set<std::string> Parse(Slice partial) {
+    std::set<std::string> members;
+    std::string_view rest = partial.view();
+    while (!rest.empty()) {
+      size_t nl = rest.find('\n');
+      members.emplace(rest.substr(0, nl));
+      rest.remove_prefix(nl + 1);
+    }
+    return members;
+  }
+  static std::string Serialize(const std::set<std::string>& members) {
+    std::string out;
+    for (const std::string& m : members) out += m + '\n';
+    return out;
+  }
+};
+
+Status FoldAll(PartialStore* store, IncrementalReducer* reducer,
+               const std::vector<std::string>& keys, Slice value = Slice()) {
+  for (const auto& key : keys) {
+    BMR_RETURN_IF_ERROR(store->Fold(Slice(key), value, reducer, nullptr));
+  }
+  return Status::Ok();
+}
+
+/// Current (key → merged partial) contents, leaving the store intact.
+std::map<std::string, std::string> Contents(const PartialStore& store,
+                                            IncrementalReducer* reducer) {
+  std::map<std::string, std::string> out;
+  Status st = store.ForEachCurrent(
+      [reducer](Slice key, Slice a, Slice b) {
+        return reducer->MergePartials(key, a, b);
+      },
+      [&out](Slice k, Slice v) { out[k.ToString()] = v.ToString(); });
+  EXPECT_TRUE(st.ok()) << st;
+  return out;
+}
+
+int64_t Count(const std::string& partial) {
+  int64_t n = 0;
+  DecodeI64(Slice(partial), &n);
+  return n;
+}
+
+/// Counting workload through Fold, then a draining merge — barrier-less
+/// WordCount against one store.
+std::map<std::string, int64_t> DriveCounts(PartialStore* store,
+                                           const std::vector<std::string>& keys,
+                                           Status* final_status) {
+  CountReducer reducer;
+  *final_status = FoldAll(store, &reducer, keys);
+  if (!final_status->ok()) return {};
+  std::map<std::string, int64_t> result;
+  *final_status = store->ForEachMerged(
+      [&reducer](Slice key, Slice a, Slice b) {
+        return reducer.MergePartials(key, a, b);
+      },
+      [&result](Slice k, Slice v) { result[k.ToString()] += Count(v.ToString()); });
   return result;
 }
 
@@ -80,34 +152,36 @@ std::map<std::string, int64_t> DirectCounts(
   return out;
 }
 
-TEST(InMemoryStoreTest, GetPutRoundTrip) {
+std::vector<std::string> KeyOrder(PartialStore* store) {
+  std::vector<std::string> seen;
+  EXPECT_TRUE(store
+                  ->ForEachMerged(
+                      [](Slice, Slice, Slice b) { return b.ToString(); },
+                      [&seen](Slice k, Slice) { seen.push_back(k.ToString()); })
+                  .ok());
+  return seen;
+}
+
+TEST(InMemoryStoreTest, FoldStartsFromInitPartialAndUpdatesInPlace) {
   StoreConfig config;
   InMemoryStore store(config);
-  std::string partial;
-  EXPECT_FALSE(GetOk(store, "a", &partial));
-  ASSERT_TRUE(store.Put("a", "1").ok());
-  ASSERT_TRUE(GetOk(store, "a", &partial));
-  EXPECT_EQ(partial, "1");
-  ASSERT_TRUE(store.Put("a", "22").ok());
-  ASSERT_TRUE(GetOk(store, "a", &partial));
-  EXPECT_EQ(partial, "22");
-  EXPECT_EQ(store.NumKeys(), 1u);
+  CountReducer reducer;
+  ASSERT_TRUE(FoldAll(&store, &reducer, {"a", "b", "a", "a"}).ok());
+  EXPECT_EQ(reducer.inits, 2) << "one InitPartial per new key";
+  auto contents = Contents(store, &reducer);
+  EXPECT_EQ(Count(contents["a"]), 3);
+  EXPECT_EQ(Count(contents["b"]), 1);
+  EXPECT_EQ(store.NumKeys(), 2u);
+  EXPECT_EQ(store.stats().folds, 4u);
 }
 
 TEST(InMemoryStoreTest, IteratesInKeyOrder) {
   StoreConfig config;
   InMemoryStore store(config);
-  for (const char* k : {"zebra", "apple", "mango"}) {
-    ASSERT_TRUE(store.Put(k, "v").ok());
-  }
-  std::vector<std::string> seen;
-  ASSERT_TRUE(store
-                  .ForEachMerged(nullptr,
-                                 [&seen](Slice k, Slice) {
-                                   seen.push_back(k.ToString());
-                                 })
-                  .ok());
-  EXPECT_EQ(seen, (std::vector<std::string>{"apple", "mango", "zebra"}));
+  LastWriteWins reducer;
+  ASSERT_TRUE(FoldAll(&store, &reducer, {"zebra", "apple", "mango"}).ok());
+  EXPECT_EQ(KeyOrder(&store),
+            (std::vector<std::string>{"apple", "mango", "zebra"}));
 }
 
 TEST(InMemoryStoreTest, RespectsCustomComparator) {
@@ -115,35 +189,34 @@ TEST(InMemoryStoreTest, RespectsCustomComparator) {
   // Reverse lexicographic order.
   config.key_cmp = [](Slice a, Slice b) { return b.Compare(a); };
   InMemoryStore store(config);
-  for (const char* k : {"a", "c", "b"}) ASSERT_TRUE(store.Put(k, "v").ok());
-  std::vector<std::string> seen;
-  ASSERT_TRUE(store
-                  .ForEachMerged(nullptr,
-                                 [&seen](Slice k, Slice) {
-                                   seen.push_back(k.ToString());
-                                 })
-                  .ok());
-  EXPECT_EQ(seen, (std::vector<std::string>{"c", "b", "a"}));
+  LastWriteWins reducer;
+  ASSERT_TRUE(FoldAll(&store, &reducer, {"a", "c", "b"}).ok());
+  EXPECT_EQ(KeyOrder(&store), (std::vector<std::string>{"c", "b", "a"}));
 }
 
 TEST(InMemoryStoreTest, HeapCapTriggersResourceExhausted) {
   StoreConfig config;
   config.heap_limit_bytes = 2048;  // a handful of entries
   InMemoryStore store(config);
+  LastWriteWins reducer;
+  const std::string value(32, 'x');
   Status last = Status::Ok();
   for (int i = 0; i < 1000 && last.ok(); ++i) {
-    last = store.Put("key" + std::to_string(i), std::string(32, 'x'));
+    last = store.Fold("key" + std::to_string(i), value, &reducer, nullptr);
   }
   EXPECT_EQ(last.code(), StatusCode::kResourceExhausted);
+  // Mutate, then report: the overflowing fold is visible in the peak.
   EXPECT_GT(store.stats().peak_memory_bytes, config.heap_limit_bytes);
 }
 
 TEST(InMemoryStoreTest, MemoryAccountingTracksValueResizes) {
   StoreConfig config;
   InMemoryStore store(config);
-  ASSERT_TRUE(store.Put("k", std::string(100, 'a')).ok());
+  LastWriteWins reducer;
+  ASSERT_TRUE(store.Fold("k", std::string(100, 'a'), &reducer, nullptr).ok());
   uint64_t m1 = store.MemoryBytes();
-  ASSERT_TRUE(store.Put("k", std::string(10, 'b')).ok());
+  EXPECT_EQ(m1, EntryFootprint(1, 100));
+  ASSERT_TRUE(store.Fold("k", std::string(10, 'b'), &reducer, nullptr).ok());
   uint64_t m2 = store.MemoryBytes();
   EXPECT_EQ(m1 - m2, 90u);
 }
@@ -167,83 +240,98 @@ TEST(SpillMergeStoreTest, MergedIterationIsKeyOrdered) {
   config.type = StoreType::kSpillMerge;
   config.spill_threshold_bytes = 1024;
   SpillMergeStore store(config);
-  auto keys = RandomKeys(2000, 5, 100);
-  for (const auto& key : keys) {
-    ASSERT_TRUE(store.Put(Slice(key), "x").ok());
-  }
-  std::vector<std::string> order;
-  ASSERT_TRUE(store
-                  .ForEachMerged(
-                      [](Slice, Slice, Slice b) { return b.ToString(); },
-                      [&order](Slice k, Slice) {
-                        order.push_back(k.ToString());
-                      })
-                  .ok());
+  LastWriteWins reducer;
+  ASSERT_TRUE(FoldAll(&store, &reducer, RandomKeys(2000, 5, 100), "x").ok());
+  std::vector<std::string> order = KeyOrder(&store);
   ASSERT_FALSE(order.empty());
   for (size_t i = 1; i < order.size(); ++i) {
     EXPECT_LT(order[i - 1], order[i]) << "duplicate or misordered key";
   }
 }
 
-TEST(SpillMergeStoreTest, ExplicitSpillKeepsGetSemantics) {
+TEST(SpillMergeStoreTest, ExplicitSpillRestartsFromInitPartial) {
   StoreConfig config;
   config.type = StoreType::kSpillMerge;
   SpillMergeStore store(config);
-  ASSERT_TRUE(store.Put("k", EncodeI64(5)).ok());
+  CountReducer reducer;
+  ASSERT_TRUE(FoldAll(&store, &reducer, {"k", "k", "k", "k", "k"}).ok());
   ASSERT_TRUE(store.SpillNow().ok());
+  EXPECT_EQ(store.MemoryBytes(), 0u);
   // After a spill the memtable no longer knows the key: the paper's
   // scheme restarts the partial and reconciles in the merge.
-  std::string partial;
-  EXPECT_FALSE(GetOk(store, "k", &partial));
-  EXPECT_EQ(store.MemoryBytes(), 0u);
-  ASSERT_TRUE(store.Put("k", EncodeI64(2)).ok());
-  int64_t total = 0;
-  ASSERT_TRUE(store
-                  .ForEachMerged(
-                      [](Slice, Slice a, Slice b) {
-                        int64_t x = 0, y = 0;
-                        DecodeI64(a, &x);
-                        DecodeI64(b, &y);
-                        return EncodeI64(x + y);
-                      },
-                      [&total](Slice, Slice v) { DecodeI64(v, &total); })
-                  .ok());
-  EXPECT_EQ(total, 7);
+  ASSERT_TRUE(FoldAll(&store, &reducer, {"k", "k"}).ok());
+  EXPECT_EQ(reducer.inits, 2);
+  Status status = Status::Ok();
+  auto result = DriveCounts(&store, {}, &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(result["k"], 7);
 }
 
-TEST(KvStoreTest, EvictsToDiskAndReadsBack) {
+TEST(SpillMergeStoreTest, HeapCapRejectsBeforeMutation) {
+  StoreConfig config;
+  config.type = StoreType::kSpillMerge;
+  config.heap_limit_bytes = 512;
+  config.spill_threshold_bytes = 1 << 30;  // never spill in this test
+  SpillMergeStore store(config);
+  LastWriteWins reducer;
+  ASSERT_TRUE(store.Fold("small", "v", &reducer, nullptr).ok());
+  uint64_t keys_before = store.NumKeys();
+  uint64_t bytes_before = store.MemoryBytes();
+  uint64_t peak_before = store.stats().peak_memory_bytes;
+
+  Status st = store.Fold("huge", std::string(4096, 'x'), &reducer, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+  // The rejected fold must not have touched the memtable or stats: no
+  // phantom key, no inflated byte count, no moved peak.
+  EXPECT_EQ(store.NumKeys(), keys_before);
+  EXPECT_EQ(store.MemoryBytes(), bytes_before);
+  EXPECT_EQ(store.stats().peak_memory_bytes, peak_before);
+  // An oversize fold into an existing key is also rejected unmutated.
+  st = store.Fold("small", std::string(4096, 'y'), &reducer, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+  EXPECT_EQ(Contents(store, &reducer)["small"], "v");
+  // The store remains usable after rejections.
+  ASSERT_TRUE(store.Fold("other", "w", &reducer, nullptr).ok());
+}
+
+TEST(KvStoreTest, EvictsToDiskAndPagesBackIn) {
   StoreConfig config;
   config.type = StoreType::kKvStore;
   config.kv_cache_bytes = 2048;  // tiny cache
   KvStoreBackend store(config);
+  CountReducer reducer;
 
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        store.Put("key" + std::to_string(i), std::string(40, 'a' + i % 26))
-            .ok());
-  }
+  std::vector<std::string> keys;
+  for (int i = 0; i < 200; ++i) keys.push_back("key" + std::to_string(i));
+  ASSERT_TRUE(FoldAll(&store, &reducer, keys).ok());
   EXPECT_GT(store.evictions(), 0u);
-  // Every key must still be readable (cache miss => disk read).
-  for (int i = 0; i < 200; ++i) {
-    std::string v;
-    ASSERT_TRUE(GetOk(store, "key" + std::to_string(i), &v))
-        << "lost key " << i;
-    EXPECT_EQ(v, std::string(40, 'a' + i % 26));
-  }
+  // A second pass pages evicted counts back in from the log; a lost or
+  // stale page-in would restart or undercount the key.
+  ASSERT_TRUE(FoldAll(&store, &reducer, keys).ok());
+  EXPECT_EQ(reducer.inits, 200);
   EXPECT_GT(store.cache_misses(), 0u);
   EXPECT_GT(store.stats().disk_reads, 0u);
+  auto contents = Contents(store, &reducer);
+  ASSERT_EQ(contents.size(), 200u);
+  for (const auto& [key, partial] : contents) {
+    EXPECT_EQ(Count(partial), 2) << key;
+  }
 }
 
-TEST(KvStoreTest, ChargesCalibratedOpCost) {
+TEST(KvStoreTest, ChargesTwoCalibratedOpsPerFold) {
   StoreConfig config;
   config.type = StoreType::kKvStore;
   config.kv_ops_per_sec = 30000;  // the paper's BerkeleyDB measurement
   KvStoreBackend store(config);
-  for (int i = 0; i < 3000; ++i) {
-    ASSERT_TRUE(store.Put("k" + std::to_string(i % 100), "v").ok());
+  CountReducer reducer;
+  constexpr int kFolds = 3000;
+  for (int i = 0; i < kFolds; ++i) {
+    ASSERT_TRUE(
+        store.Fold("k" + std::to_string(i % 100), "", &reducer, nullptr).ok());
   }
-  // 3000 puts at 30k ops/s = 0.1 virtual seconds.
-  EXPECT_NEAR(store.stats().charged_seconds, 0.1, 0.05);
+  // A fold is the paper's read-modify-update: a read plus a write.
+  EXPECT_NEAR(store.stats().charged_seconds,
+              2.0 * kFolds / config.kv_ops_per_sec, 1e-9);
 }
 
 TEST(KvStoreTest, UpdatedValueWinsAfterEviction) {
@@ -251,23 +339,22 @@ TEST(KvStoreTest, UpdatedValueWinsAfterEviction) {
   config.type = StoreType::kKvStore;
   config.kv_cache_bytes = 1024;
   KvStoreBackend store(config);
-  ASSERT_TRUE(store.Put("target", "old").ok());
+  LastWriteWins reducer;
+  const std::string fill(64, 'x');
+  ASSERT_TRUE(store.Fold("target", "old", &reducer, nullptr).ok());
   for (int i = 0; i < 100; ++i) {  // push "target" out of cache
-    ASSERT_TRUE(store.Put("fill" + std::to_string(i), std::string(64, 'x')).ok());
+    ASSERT_TRUE(
+        store.Fold("fill" + std::to_string(i), fill, &reducer, nullptr).ok());
   }
-  std::string v;
-  ASSERT_TRUE(GetOk(store, "target", &v));
-  EXPECT_EQ(v, "old");
-  ASSERT_TRUE(store.Put("target", "new").ok());
+  ASSERT_TRUE(store.Fold("target", "new", &reducer, nullptr).ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
-        store.Put("fill2" + std::to_string(i), std::string(64, 'x')).ok());
+        store.Fold("fill2" + std::to_string(i), fill, &reducer, nullptr).ok());
   }
-  ASSERT_TRUE(GetOk(store, "target", &v));
-  EXPECT_EQ(v, "new");
+  EXPECT_EQ(Contents(store, &reducer)["target"], "new");
 }
 
-TEST(KvStoreTest, DirtyEvictionWriteFailureSurfacesFromPut) {
+TEST(KvStoreTest, DirtyEvictionWriteFailureSurfacesFromFold) {
   faults::FaultEvent fail;
   fail.kind = faults::FaultKind::kSpillWriteError;
   fail.count = 1;  // exactly the first log write fails
@@ -280,23 +367,24 @@ TEST(KvStoreTest, DirtyEvictionWriteFailureSurfacesFromPut) {
   config.kv_cache_bytes = 1024;  // tiny: filling evicts dirty entries
   config.fault_injector = &injector;
   KvStoreBackend store(config);
+  LastWriteWins reducer;
 
+  const std::string value(64, 'x');
   Status last = Status::Ok();
   for (int i = 0; i < 100 && last.ok(); ++i) {
-    last = store.Put("key" + std::to_string(i), std::string(64, 'x'));
+    last = store.Fold("key" + std::to_string(i), value, &reducer, nullptr);
   }
-  // The dirty victim's write-back failed; the Put that triggered the
+  // The dirty victim's write-back failed; the fold that triggered the
   // eviction must report it, not swallow it.
   EXPECT_EQ(last.code(), StatusCode::kUnavailable) << last;
 }
 
-TEST(KvStoreTest, EvictionWriteFailureSurfacesFromGet) {
-  // Same data-loss hazard via the Get path: a cache-miss read pages a
-  // value in, and the eviction making room may write back a dirty
-  // victim.  Before the fix that status was discarded.
+TEST(KvStoreTest, EvictionWriteFailureSurfacesFromPageIn) {
+  // The same data-loss hazard on a cache miss: the fold pages a value
+  // in, and the eviction making room writes back a dirty victim.
   faults::FaultEvent fail;
   fail.kind = faults::FaultKind::kSpillWriteError;
-  fail.after_calls = 1;  // let the first write-back (from Put) through
+  fail.after_calls = 1;  // let the first write-back through
   fail.count = 1;
   faults::FaultPlan plan;
   plan.events = {fail};
@@ -307,71 +395,103 @@ TEST(KvStoreTest, EvictionWriteFailureSurfacesFromGet) {
   config.kv_cache_bytes = 512;
   config.fault_injector = &injector;
   KvStoreBackend store(config);
+  LastWriteWins reducer;
 
-  // Two entries that can't coexist in the cache: writing A then B
-  // evicts A (write-back #1, allowed through).  Reading A pages it back
-  // in and evicts dirty B (write-back #2, injected to fail).
-  ASSERT_TRUE(store.Put("aaaa", std::string(300, 'a')).ok());
-  ASSERT_TRUE(store.Put("bbbb", std::string(300, 'b')).ok());
-  std::string v;
-  bool found = false;
-  Status st = store.Get("aaaa", &v, &found);
+  // Two entries that can't coexist in the cache: folding A then B
+  // evicts A (write-back #1, allowed through).  Folding A again pages
+  // it back in and evicts dirty B (write-back #2, injected to fail).
+  ASSERT_TRUE(store.Fold("aaaa", std::string(300, 'a'), &reducer, nullptr).ok());
+  ASSERT_TRUE(store.Fold("bbbb", std::string(300, 'b'), &reducer, nullptr).ok());
+  uint64_t misses_before = store.cache_misses();
+  Status st = store.Fold("aaaa", std::string(300, 'A'), &reducer, nullptr);
   EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st;
-  EXPECT_FALSE(found);
-}
-
-TEST(SpillMergeStoreTest, HeapCapRejectsBeforeMutation) {
-  StoreConfig config;
-  config.type = StoreType::kSpillMerge;
-  config.heap_limit_bytes = 512;
-  config.spill_threshold_bytes = 1 << 30;  // never spill in this test
-  SpillMergeStore store(config);
-  ASSERT_TRUE(store.Put("small", "v").ok());
-  uint64_t keys_before = store.NumKeys();
-  uint64_t bytes_before = store.MemoryBytes();
-  uint64_t peak_before = store.stats().peak_memory_bytes;
-
-  Status st = store.Put("huge", std::string(4096, 'x'));
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
-  // The rejected Put must not have touched the memtable or stats: no
-  // phantom key, no inflated byte count, no moved peak.
-  EXPECT_EQ(store.NumKeys(), keys_before);
-  EXPECT_EQ(store.MemoryBytes(), bytes_before);
-  EXPECT_EQ(store.stats().peak_memory_bytes, peak_before);
-  // An oversize *update* of an existing key is also rejected unmutated.
-  st = store.Put("small", std::string(4096, 'y'));
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
-  std::string v;
-  ASSERT_TRUE(GetOk(store, "small", &v));
-  EXPECT_EQ(v, "v");
-  // The store remains usable after rejections.
-  ASSERT_TRUE(store.Put("other", "w").ok());
+  EXPECT_EQ(store.cache_misses(), misses_before + 1) << "fold paged A in";
 }
 
 /// Property: all three stores produce identical merged results on the
-/// same random read-modify-update workload.
+/// same random fold workloads.
 struct StoreCase {
   StoreType type;
   uint64_t threshold_or_cache;
 };
 
 class StoreEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<StoreCase, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<StoreCase, uint64_t>> {
+ protected:
+  StoreConfig MakeConfig() const {
+    StoreCase store_case = std::get<0>(GetParam());
+    StoreConfig config;
+    config.type = store_case.type;
+    config.spill_threshold_bytes = store_case.threshold_or_cache;
+    config.kv_cache_bytes = store_case.threshold_or_cache;
+    return config;
+  }
+  uint64_t Seed() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(StoreEquivalenceTest, CountsMatchInMemoryReference) {
-  auto [store_case, seed] = GetParam();
-  StoreConfig config;
-  config.type = store_case.type;
-  config.spill_threshold_bytes = store_case.threshold_or_cache;
-  config.kv_cache_bytes = store_case.threshold_or_cache;
-
-  auto store = CreatePartialStore(config);
+  auto store = CreatePartialStore(MakeConfig());
   ASSERT_NE(store, nullptr);
-  auto keys = RandomKeys(4000, seed, 150);
+  auto keys = RandomKeys(4000, Seed(), 150);
   Status status = Status::Ok();
   auto result = DriveCounts(store.get(), keys, &status);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(result, DirectCounts(keys));
+}
+
+TEST_P(StoreEquivalenceTest, SetValuedPartialsMatchReference) {
+  // Last.fm unique listeners: each key's partial is the set of users
+  // that played it, so partials grow and change size on every fold.
+  auto store = CreatePartialStore(MakeConfig());
+  ASSERT_NE(store, nullptr);
+  SetReducer reducer;
+  Pcg32 rng(Seed() + 100);
+  std::map<std::string, std::set<std::string>> reference;
+  for (int i = 0; i < 3000; ++i) {
+    std::string track = "track" + std::to_string(rng.NextBounded(60));
+    std::string user = "user" + std::to_string(rng.NextBounded(400));
+    ASSERT_TRUE(store->Fold(Slice(track), Slice(user), &reducer, nullptr).ok());
+    reference[track].insert(user);
+  }
+  std::map<std::string, std::set<std::string>> result;
+  ASSERT_TRUE(store
+                  ->ForEachMerged(
+                      [&reducer](Slice key, Slice a, Slice b) {
+                        return reducer.MergePartials(key, a, b);
+                      },
+                      [&result](Slice k, Slice v) {
+                        EXPECT_EQ(result.count(k.ToString()), 0u);
+                        result[k.ToString()] = SetReducer::Parse(v);
+                      })
+                  .ok());
+  EXPECT_EQ(result, reference);
+}
+
+TEST_P(StoreEquivalenceTest, PreloadThenFoldThroughDriver) {
+  // Memoization (§8): a previous run's partials are installed verbatim,
+  // then new records fold on top of them.
+  CountReducer reducer;
+  BarrierlessDriver driver(&reducer, MakeConfig(), Config());
+  std::map<std::string, int64_t> expected;
+  for (int i = 0; i < 50; ++i) {
+    std::string key = "key" + std::to_string(i * 3);
+    expected[key] = 10 + i;
+    ASSERT_TRUE(
+        driver.PreloadPartial(Slice(key), Slice(EncodeI64(10 + i))).ok());
+  }
+  EXPECT_EQ(reducer.inits, 0) << "preload installs, it does not fold";
+  auto keys = RandomKeys(4000, Seed(), 150);
+  std::vector<mr::Record> out;
+  mr::VectorEmitter<std::vector<mr::Record>> emitter(&out);
+  for (const auto& key : keys) {
+    ASSERT_TRUE(driver.Consume(Slice(key), Slice(), &emitter).ok());
+    ++expected[key];
+  }
+  ASSERT_TRUE(driver.Finalize(&emitter).ok());
+  std::map<std::string, int64_t> result;
+  for (const mr::Record& r : out) result[r.key] = Count(r.value);
+  EXPECT_EQ(result, expected);
+  EXPECT_EQ(driver.store()->stats().folds, 50u + keys.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -425,6 +545,19 @@ TEST(SpillFileTest, EmptyFileYieldsNoRecords) {
   bool has = true;
   ASSERT_TRUE(reader.Next(&k, &v, &has).ok());
   EXPECT_FALSE(has);
+}
+
+TEST(SpillFileTest, ReadErrorIsNotEndOfRun) {
+  // On Linux a directory opens with fopen("rb") but every fread fails
+  // (EISDIR).  A failed read at a record boundary must surface, not
+  // read as a clean end of run that silently drops the rest of it.
+  ScratchDir scratch;
+  SpillFileReader reader(scratch.path());
+  ASSERT_TRUE(reader.Open().ok());
+  std::string k, v;
+  bool has = true;
+  Status st = reader.Next(&k, &v, &has);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st;
 }
 
 }  // namespace

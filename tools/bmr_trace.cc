@@ -171,7 +171,7 @@ StatusOr<mr::JobMetrics> RunTracedApp(const CliOptions& cli) {
   mr::JobRunner runner(cluster.get());
   mr::JobResult result = runner.Run(app->make_job(options));
   BMR_RETURN_IF_ERROR(result.status);
-  return result.ToMetrics();
+  return mr::JobMetrics(std::move(result));
 }
 
 mr::JobMetrics RunSim(const CliOptions& cli) {
@@ -302,8 +302,7 @@ int RunCheck(CliOptions cli) {
   }
   for (const char* name :
        {obs::kHShuffleFetchRttUs, obs::kHShuffleQueueWaitUs,
-        obs::kHReduceInvokeUs, obs::kHStoreGetUs, obs::kHStorePutUs,
-        obs::kHOutputWriteUs}) {
+        obs::kHReduceInvokeUs, obs::kHStoreFoldUs, obs::kHOutputWriteUs}) {
     auto it = metrics->histograms.find(name);
     if (it == metrics->histograms.end() || it->second.count() == 0) {
       return fail(std::string("missing/empty histogram ") + name);
