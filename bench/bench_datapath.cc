@@ -23,8 +23,8 @@
 #include "concurrency/bounded_queue.h"
 #include "core/barrierless_driver.h"
 #include "core/incremental.h"
-#include "core/inmemory_store.h"
 #include "core/kvstore.h"
+#include "core/partial_store.h"
 #include "core/spill_merge_store.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
@@ -191,8 +191,7 @@ MetricRow BenchFetchToReduce(const std::vector<std::string>& segments,
                              size_t total_records) {
   mr::FifoSink sink(mr::kDefaultShuffleFifoBatches,
                     mr::kDefaultShuffleBatchBytes);
-  core::StoreConfig config;
-  core::InMemoryStore store(config);
+  auto store = core::CreatePartialStore(core::StoreConfig());
   auto t0 = std::chrono::steady_clock::now();
   std::thread producer([&segments, &sink] {
     int map_task = 0;
@@ -209,7 +208,7 @@ MetricRow BenchFetchToReduce(const std::vector<std::string>& segments,
   while (sink.fifo().PopAll(&batches) > 0) {
     for (const mr::RecordBatch& batch : batches) {
       for (const mr::RecordBatch::Entry& e : batch) {
-        if (!store.Fold(e.key, e.value, &reducer, nullptr).ok()) break;
+        if (!store->Fold(e.key, e.value, &reducer, nullptr).ok()) break;
       }
     }
     batches.clear();
@@ -389,10 +388,9 @@ double StoreOpsPerSec(Store& store, const std::vector<mr::Record>& records) {
 void BenchStores(const std::vector<mr::Record>& records,
                  std::vector<MetricRow>* rows) {
   {
-    core::StoreConfig config;
-    core::InMemoryStore store(config);
+    auto store = core::CreatePartialStore(core::StoreConfig());
     rows->push_back({"store", "inmemory_ops_per_sec",
-                     StoreOpsPerSec(store, records), "ops/sec"});
+                     StoreOpsPerSec(*store, records), "ops/sec"});
   }
   {
     core::StoreConfig config;
@@ -406,7 +404,6 @@ void BenchStores(const std::vector<mr::Record>& records,
     core::StoreConfig config;
     config.type = core::StoreType::kKvStore;
     config.kv_cache_bytes = 256 << 10;
-    config.kv_ops_per_sec = 0;  // wall-clock bench: no virtual charging
     core::KvStoreBackend store(config);
     rows->push_back({"store", "kvstore_ops_per_sec",
                      StoreOpsPerSec(store, records), "ops/sec"});

@@ -9,8 +9,8 @@
 #include "common/serde.h"
 #include "concurrency/bounded_queue.h"
 #include "core/incremental.h"
-#include "core/inmemory_store.h"
 #include "core/kvstore.h"
+#include "core/partial_store.h"
 #include "core/spill_merge_store.h"
 #include "mr/shuffle.h"
 
@@ -51,9 +51,8 @@ void RunStoreFold(Store& store, const std::vector<std::string>& keys) {
 void BM_InMemoryStoreFold(benchmark::State& state) {
   auto keys = MakeKeys(8192, static_cast<uint32_t>(state.range(0)), 42);
   for (auto _ : state) {
-    core::StoreConfig config;
-    core::InMemoryStore store(config);
-    RunStoreFold(store, keys);
+    auto store = core::CreatePartialStore(core::StoreConfig());
+    RunStoreFold(*store, keys);
   }
   state.SetItemsProcessed(state.iterations() * keys.size());
 }
@@ -118,10 +117,9 @@ void BM_OrderedMapInsertUnique(benchmark::State& state) {
   }
   CountReducer reducer;
   for (auto _ : state) {
-    core::StoreConfig config;
-    core::InMemoryStore store(config);
+    auto store = core::CreatePartialStore(core::StoreConfig());
     for (const auto& key : keys) {
-      benchmark::DoNotOptimize(store.Fold(Slice(key), Slice(), &reducer,
+      benchmark::DoNotOptimize(store->Fold(Slice(key), Slice(), &reducer,
                                           nullptr));
     }
   }

@@ -94,14 +94,8 @@ Status KvStoreBackend::Fold(Slice key, Slice value,
                             IncrementalReducer* reducer,
                             mr::ReduceEmitter* out) {
   ++stats_.folds;
-  // A fold is the paper's read-modify-update: one read plus one write
-  // at the calibrated rate.
-  if (config_.kv_ops_per_sec > 0) {
-    stats_.charged_seconds += 2.0 / config_.kv_ops_per_sec;
-  }
   auto hit = cache_index_.find(key);  // transparent: no key copy
   if (hit != cache_index_.end()) {
-    ++cache_hits_;
     Touch(hit->second);
   } else {
     // Only a cache miss materializes an owning key.

@@ -5,10 +5,10 @@
 // B-tree inner nodes resident the same way).  Every reduce record costs
 // a read-modify-update cycle through this store; the paper measured
 // ~30k inserts/s, far below the record rate of a wordcount reducer,
-// which is why this scheme loses in Figs. 9–10.  We reproduce the
-// mechanism with real disk I/O and charge the calibrated per-op cost as
-// virtual time (StoreStats::charged_seconds) so the simulator can
-// replay the throughput collapse at paper scale.
+// which is why this scheme loses in Figs. 9–10.  This store reproduces
+// the mechanism with real disk I/O at real speed; the paper-scale
+// throughput collapse is simmr's to model, from its StoreModel's
+// calibrated ops/sec.
 #pragma once
 
 #include <cstdio>
@@ -38,7 +38,6 @@ class KvStoreBackend final : public PartialStore {
                         const EmitFn& fn) const override;
   const StoreStats& stats() const override { return stats_; }
 
-  uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
   uint64_t evictions() const { return evictions_; }
 
@@ -79,7 +78,6 @@ class KvStoreBackend final : public PartialStore {
   /// B-tree keeps keys sorted the same way).
   std::map<std::string, DiskLocation, KeyLess> index_;
 
-  uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   uint64_t evictions_ = 0;
   StoreStats stats_;

@@ -47,8 +47,4 @@ struct SliceEq {
 
 using OrderedPartialMap = std::map<std::string, std::string, KeyLess>;
 
-inline OrderedPartialMap MakeOrderedPartialMap(const mr::KeyCompareFn& cmp) {
-  return OrderedPartialMap(KeyLess{cmp});
-}
-
 }  // namespace bmr::core

@@ -4,8 +4,10 @@
 // depending on the Reduce class (Table 1); for large inputs the reducer
 // heap overflows, so storage is pluggable:
 //
-//   kInMemory   — ordered map, fails with RESOURCE_EXHAUSTED at the heap
-//                 cap (reproduces the Fig. 5(a) OOM).
+//   kInMemory   — §3.2: an ordered memtable (the paper's TreeMap) that
+//                 fails with RESOURCE_EXHAUSTED at the heap cap
+//                 (reproduces the Fig. 5(a) OOM).  It is the
+//                 kSpillMerge store with spilling switched off.
 //   kSpillMerge — §5.1: on reaching a threshold, partial results are
 //                 sorted and moved to a local spill file; a final k-way
 //                 merge combines per-key fragments with the app's merge
@@ -13,6 +15,9 @@
 //   kKvStore    — §5.2: a BerkeleyDB-like disk-spilling key/value store
 //                 with an LRU cache; every record costs a read-modify-
 //                 update cycle.
+//
+// The stores do real work at real speed and keep no modeled device
+// time: simmr prices the paper-scale costs from its own StoreModel.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +47,20 @@ const char* StoreTypeName(StoreType type);
 
 struct StoreConfig {
   StoreType type = StoreType::kInMemory;
-  /// Hard heap cap for partial results; exceeded => RESOURCE_EXHAUSTED
-  /// (the job is killed, as in Fig. 5(a)).  0 = unlimited.
+  /// Hard heap cap for partial results (kInMemory, kSpillMerge): a fold
+  /// whose footprint would exceed it is rejected with
+  /// RESOURCE_EXHAUSTED before it touches the store (the job is killed,
+  /// as in Fig. 5(a)).  0 = unlimited.
   uint64_t heap_limit_bytes = 0;
   /// kSpillMerge: spill to disk when estimated memory reaches this.
+  /// kInMemory ignores it and never spills.
   uint64_t spill_threshold_bytes = 240ull << 20;  // paper's 240 MB
-  /// Directory for spill files / KV store logs ("" = std temp dir).
+  /// Base directory for spill files / KV store logs ("" = std temp
+  /// dir).  The spill-merge store creates its directory on the first
+  /// spill, so kInMemory never touches it.
   std::string scratch_dir;
   /// kKvStore: LRU cache capacity in bytes.
   uint64_t kv_cache_bytes = 64ull << 20;
-  /// kKvStore: modeled sustained ops/sec of the store (the paper
-  /// measured ~30k inserts/sec for BerkeleyDB JE).  Used for virtual-
-  /// time charging, not wall-clock throttling.
-  double kv_ops_per_sec = 30000.0;
-  /// Modeled local-disk sequential bandwidth for spill I/O charging.
-  double disk_bytes_per_sec = 80e6;
   /// Key ordering used for final emission and spill sorting.
   mr::KeyCompareFn key_cmp;  // defaults to bytewise when null
   /// Optional fault injector consulted on every spill-file write/read
@@ -75,18 +79,18 @@ inline uint64_t EntryFootprint(size_t key_size, size_t value_size) {
   return key_size + value_size + kPerEntryOverhead;
 }
 
-/// Cumulative statistics a store exposes for benches and the simulator's
-/// cost calibration.
+/// Cumulative statistics a store exposes for benches, job metrics and
+/// tests.
 struct StoreStats {
   uint64_t folds = 0;
-  uint64_t spills = 0;           // spill-file flushes
+  uint64_t spills = 0;           // spill-file flushes (0 for kInMemory)
   uint64_t spilled_bytes = 0;
-  uint64_t disk_reads = 0;       // KV store cache misses
+  /// Records read back from disk: KV log page-ins, spill-run records.
+  uint64_t disk_reads = 0;
   uint64_t disk_read_bytes = 0;
+  /// Largest in-memory footprint seen; a fold rejected at the heap cap
+  /// does not move it.
   uint64_t peak_memory_bytes = 0;
-  /// Virtual seconds charged for modeled device costs (KV store ops,
-  /// spill I/O).  Added to the reducer's virtual runtime by simmr.
-  double charged_seconds = 0;
 };
 
 /// Per-key partial-result storage.  Single-threaded: each reduce task

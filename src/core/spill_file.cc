@@ -29,15 +29,15 @@ Status SpillFileWriter::Append(Slice key, Slice value) {
   if (injector_ != nullptr) {
     BMR_RETURN_IF_ERROR(injector_->OnSpillWrite(path_));
   }
-  ByteBuffer buf(key.size() + value.size() + 20);
-  Encoder enc(&buf);
+  record_.Clear();
+  Encoder enc(&record_);
   enc.PutString(key);
   enc.PutString(value);
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
+  if (std::fwrite(record_.data(), 1, record_.size(), file_) !=
+      record_.size()) {
     return Status::Internal("short write to spill file: " + path_);
   }
-  bytes_written_ += buf.size();
-  ++records_written_;
+  bytes_written_ += record_.size();
   return Status::Ok();
 }
 
@@ -78,7 +78,6 @@ Status SpillFileReader::FillBuffer(size_t need) {
     buffer_.resize(old + chunk);
     size_t n = std::fread(buffer_.data() + old, 1, chunk, file_);
     buffer_.resize(old + n);
-    bytes_read_ += n;
     if (n < chunk) {
       if (std::ferror(file_) != 0) {
         return Status::DataLoss("spill file read failed: " + path_);

@@ -29,15 +29,14 @@ class SpillFileWriter {
   [[nodiscard]] Status Close();
 
   uint64_t bytes_written() const { return bytes_written_; }
-  uint64_t records_written() const { return records_written_; }
-  const std::string& path() const { return path_; }
 
  private:
   std::string path_;
   faults::FaultInjector* injector_;
   std::FILE* file_ = nullptr;
+  /// One record's encoding, reused across Appends.
+  ByteBuffer record_;
   uint64_t bytes_written_ = 0;
-  uint64_t records_written_ = 0;
 };
 
 /// Sequential reader with an internal buffer; one record look-ahead so
@@ -57,8 +56,6 @@ class SpillFileReader {
   /// OK+false at end of file, or an error on corruption.
   [[nodiscard]] Status Next(std::string* key, std::string* value, bool* has_record);
 
-  uint64_t bytes_read() const { return bytes_read_; }
-
  private:
   [[nodiscard]] Status FillBuffer(size_t need);
   [[nodiscard]] Status ReadVarint(uint64_t* v);
@@ -70,7 +67,6 @@ class SpillFileReader {
   std::string buffer_;
   size_t buffer_pos_ = 0;
   bool eof_ = false;
-  uint64_t bytes_read_ = 0;
 };
 
 }  // namespace bmr::core

@@ -1,7 +1,7 @@
 #include "core/spill_merge_store.h"
 
 #include <algorithm>
-#include <queue>
+#include <memory>
 
 #include "core/spill_file.h"
 #include "obs/metric_names.h"
@@ -10,9 +10,7 @@
 namespace bmr::core {
 
 SpillMergeStore::SpillMergeStore(const StoreConfig& config)
-    : config_(config),
-      scratch_(config.scratch_dir),
-      memtable_(MakeOrderedPartialMap(config.key_cmp)) {}
+    : config_(config), memtable_(KeyLess{config.key_cmp}) {}
 
 Status SpillMergeStore::Fold(Slice key, Slice value,
                              IncrementalReducer* reducer,
@@ -38,7 +36,9 @@ Status SpillMergeStore::Fold(Slice key, Slice value,
       exists ? memory_bytes_ + fold_scratch_.size() - it->second.size()
              : memory_bytes_ + EntryFootprint(key.size(), fold_scratch_.size());
   if (config_.heap_limit_bytes != 0 && new_bytes > config_.heap_limit_bytes) {
-    return Status::ResourceExhausted("spill store exceeded heap cap");
+    return Status::ResourceExhausted(
+        "partial results exceed reducer heap (" + std::to_string(new_bytes) +
+        " > " + std::to_string(config_.heap_limit_bytes) + " bytes)");
   }
 
   if (!exists) {
@@ -64,8 +64,9 @@ Status SpillMergeStore::SpillNow() {
   obs::ScopedSpan spill_span(config_.tracer, obs::kSpanStoreSpill, "store",
                              static_cast<int64_t>(spill_paths_.size()));
   obs::LatencyTimer spill_latency(config_.tracer, obs::kHStoreSpillUs);
+  if (!scratch_) scratch_.emplace(config_.scratch_dir);
   std::string path =
-      scratch_.FilePath("spill_" + std::to_string(spill_paths_.size()));
+      scratch_->FilePath("spill_" + std::to_string(spill_paths_.size()));
   SpillFileWriter writer(path, config_.fault_injector);
   BMR_RETURN_IF_ERROR(writer.Open());
   for (const auto& [key, partial] : memtable_) {
@@ -75,16 +76,10 @@ Status SpillMergeStore::SpillNow() {
   spill_paths_.push_back(path);
   ++stats_.spills;
   stats_.spilled_bytes += writer.bytes_written();
-  if (config_.disk_bytes_per_sec > 0) {
-    stats_.charged_seconds +=
-        writer.bytes_written() / config_.disk_bytes_per_sec;
-  }
   memtable_.clear();
   memory_bytes_ = 0;
   return Status::Ok();
 }
-
-uint64_t SpillMergeStore::NumKeys() const { return approx_keys_; }
 
 Status SpillMergeStore::ForEachMerged(const MergeFn& merge, const EmitFn& fn) {
   BMR_RETURN_IF_ERROR(MergeScan(merge, fn));
@@ -102,6 +97,14 @@ Status SpillMergeStore::ForEachCurrent(const MergeFn& merge,
 }
 
 Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
+  // Nothing spilled: the memtable is the only run, already one fragment
+  // per key in key order.
+  if (spill_paths_.empty()) {
+    for (const auto& [key, partial] : memtable_) {
+      fn(Slice(key), Slice(partial));
+    }
+    return Status::Ok();
+  }
   // Merge heads: every spill file plus the live memtable, all already
   // in key order.  Standard loser-tree-free k-way merge over a heap.
   struct Head {
@@ -121,8 +124,13 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
     if (key_less(Slice(b.key), Slice(a.key))) return true;
     return a.source > b.source;
   };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> heap(
-      head_greater);
+  // A plain vector under push_heap/pop_heap, so the popped head can be
+  // moved out rather than copied from a priority_queue's const top().
+  std::vector<Head> heap;
+  auto push_head = [&](Head h) {
+    heap.push_back(std::move(h));
+    std::push_heap(heap.begin(), heap.end(), head_greater);
+  };
 
   std::vector<std::unique_ptr<SpillFileReader>> readers;
   readers.reserve(spill_paths_.size());
@@ -139,7 +147,7 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
     if (has) {
       stats_.disk_read_bytes += h.key.size() + h.value.size();
       ++stats_.disk_reads;
-      heap.push(std::move(h));
+      push_head(std::move(h));
     }
     return Status::Ok();
   };
@@ -149,7 +157,7 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
   auto memtable_it = memtable_.begin();
   auto push_memtable_head = [&] {
     if (memtable_it != memtable_.end()) {
-      heap.push(Head{memtable_it->first, memtable_it->second,
+      push_head(Head{memtable_it->first, memtable_it->second,
                      spill_paths_.size()});
       ++memtable_it;
     }
@@ -165,8 +173,9 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
   };
 
   while (!heap.empty()) {
-    Head h = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), head_greater);
+    Head h = std::move(heap.back());
+    heap.pop_back();
     if (h.source < readers.size()) {
       BMR_RETURN_IF_ERROR(advance_reader(h.source));
     } else {
@@ -186,10 +195,6 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
     }
   }
   flush_current();
-
-  if (config_.disk_bytes_per_sec > 0) {
-    stats_.charged_seconds += stats_.disk_read_bytes / config_.disk_bytes_per_sec;
-  }
   return Status::Ok();
 }
 

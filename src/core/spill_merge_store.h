@@ -1,4 +1,5 @@
-// Disk spill-and-merge partial-result store (Section 5.1).
+// Ordered-memtable partial-result store: the in-memory baseline of
+// Section 3.2 and the disk spill-and-merge scheme of Section 5.1.
 //
 // Partial results accumulate in an ordered memtable; when the estimated
 // footprint reaches the threshold, the whole memtable is written — in
@@ -7,9 +8,14 @@
 // memtable; the final pass k-way merges all runs and folds fragments of
 // equal keys together with the application's merge function (which the
 // paper notes is usually the same as its combiner).
+//
+// StoreType::kInMemory is this store with spilling switched off by the
+// factory: the memtable is the paper's TreeMap, and the heap cap is what
+// kills the job in Fig. 5(a).  Until the first spill the store touches
+// no filesystem and its scans walk the memtable directly.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/ordered_map.h"
@@ -25,7 +31,7 @@ class SpillMergeStore final : public PartialStore {
   [[nodiscard]] Status Fold(Slice key, Slice value,
                             IncrementalReducer* reducer,
                             mr::ReduceEmitter* out) override;
-  uint64_t NumKeys() const override;
+  uint64_t NumKeys() const override { return approx_keys_; }
   uint64_t MemoryBytes() const override { return memory_bytes_; }
   [[nodiscard]] Status ForEachMerged(const MergeFn& merge, const EmitFn& fn) override;
   [[nodiscard]] Status ForEachCurrent(const MergeFn& merge,
@@ -35,15 +41,15 @@ class SpillMergeStore final : public PartialStore {
   /// Exposed for tests/benches: force a spill regardless of threshold.
   [[nodiscard]] Status SpillNow();
 
-  size_t num_spill_files() const { return spill_paths_.size(); }
-
  private:
   /// Shared k-way merge over spill files + memtable; leaves all state
   /// intact (callers clear separately when draining).
   [[nodiscard]] Status MergeScan(const MergeFn& merge, const EmitFn& fn);
 
   StoreConfig config_;
-  ScratchDir scratch_;
+  /// Created by the first spill, so a store that never spills never
+  /// touches the filesystem.
+  std::optional<ScratchDir> scratch_;
   OrderedPartialMap memtable_;
   uint64_t memory_bytes_ = 0;
   /// Upper bound on distinct keys (over-counts keys split across

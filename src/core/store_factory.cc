@@ -1,6 +1,8 @@
-#include "core/inmemory_store.h"
-#include "core/kvstore.h"
 #include "core/partial_store.h"
+
+#include <limits>
+
+#include "core/kvstore.h"
 #include "core/spill_merge_store.h"
 
 namespace bmr::core {
@@ -16,8 +18,11 @@ const char* StoreTypeName(StoreType type) {
 
 std::unique_ptr<PartialStore> CreatePartialStore(const StoreConfig& config) {
   switch (config.type) {
-    case StoreType::kInMemory:
-      return std::make_unique<InMemoryStore>(config);
+    case StoreType::kInMemory: {  // §3.2: the memtable, never spilled
+      StoreConfig never_spill = config;
+      never_spill.spill_threshold_bytes = std::numeric_limits<uint64_t>::max();
+      return std::make_unique<SpillMergeStore>(never_spill);
+    }
     case StoreType::kSpillMerge:
       return std::make_unique<SpillMergeStore>(config);
     case StoreType::kKvStore:

@@ -10,47 +10,44 @@
 #include "obs/metric_names.h"
 
 namespace bmr::obs {
-namespace {
 
-void AppendEscaped(std::string* out, const std::string& s) {
+std::string JsonString(const std::string& s) {
+  std::string out = "\"";
   for (char c : s) {
     switch (c) {
       case '"':
-        *out += "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        *out += "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        *out += "\\n";
+        out += "\\n";
         break;
       case '\t':
-        *out += "\\t";
+        out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
+          out += buf;
         } else {
-          *out += c;
+          out += c;
         }
     }
   }
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  AppendEscaped(&out, s);
   out += "\"";
   return out;
 }
 
-std::string Num(double v) {
+std::string JsonNumber(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
 }
+
+namespace {
 
 double Micros(double seconds) { return seconds * 1e6; }
 
@@ -101,7 +98,8 @@ std::string PerfettoTraceJson(const TraceLog& log) {
     if (dur < 0) dur = 0;
     out += "{\"ph\":\"X\",\"pid\":" + std::to_string(s->pid) +
            ",\"tid\":" + std::to_string(s->tid) +
-           ",\"ts\":" + Num(Micros(s->start_s)) + ",\"dur\":" + Num(dur) +
+           ",\"ts\":" + JsonNumber(Micros(s->start_s)) +
+           ",\"dur\":" + JsonNumber(dur) +
            ",\"name\":" + JsonString(s->name) +
            ",\"cat\":" + JsonString(s->category) +
            ",\"args\":{\"span\":" + std::to_string(s->id) +
@@ -114,8 +112,9 @@ std::string PerfettoTraceJson(const TraceLog& log) {
     comma();
     out += "{\"ph\":\"C\",\"pid\":" + std::to_string(c.pid) +
            ",\"tid\":" + std::to_string(c.tid) +
-           ",\"ts\":" + Num(Micros(c.t_s)) + ",\"name\":" +
-           JsonString(c.name) + ",\"args\":{\"value\":" + Num(c.value) + "}}";
+           ",\"ts\":" + JsonNumber(Micros(c.t_s)) + ",\"name\":" +
+           JsonString(c.name) + ",\"args\":{\"value\":" +
+           JsonNumber(c.value) + "}}";
   }
 
   out += "]}\n";

@@ -7,52 +7,14 @@
 #include <fstream>
 #include <utility>
 
+#include "obs/export.h"
+
 namespace bmr::obs {
 namespace {
 
-// Local JSON helpers: the flight ring carries dynamic strings, so it
-// cannot ride the static-lifetime Span/TraceLog pipeline in export.cc;
-// it emits the same Perfetto shape itself.
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  AppendEscaped(&out, s);
-  out += "\"";
-  return out;
-}
-
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
+// The flight ring carries dynamic strings, so it cannot ride the
+// static-lifetime Span/TraceLog pipeline in export.cc; it emits the
+// same Perfetto shape itself, through export.h's JSON helpers.
 constexpr int kFlightPid = 3;
 
 }  // namespace
@@ -170,16 +132,16 @@ std::string FlightRecorder::SnapshotJson(size_t last_n) const {
     comma();
     if (e.kind == FlightEvent::Kind::kCounter) {
       out += "{\"ph\":\"C\",\"pid\":" + std::to_string(kFlightPid) +
-             ",\"tid\":0,\"ts\":" + Num(e.start_s * 1e6) +
+             ",\"tid\":0,\"ts\":" + JsonNumber(e.start_s * 1e6) +
              ",\"name\":" + JsonString(e.name) +
-             ",\"args\":{\"value\":" + Num(e.value) + "}}";
+             ",\"args\":{\"value\":" + JsonNumber(e.value) + "}}";
       continue;
     }
     double dur = (e.end_s - e.start_s) * 1e6;
     if (dur < 0) dur = 0;
     out += "{\"ph\":\"X\",\"pid\":" + std::to_string(kFlightPid) +
-           ",\"tid\":0,\"ts\":" + Num(e.start_s * 1e6) +
-           ",\"dur\":" + Num(dur) + ",\"name\":" + JsonString(e.name) +
+           ",\"tid\":0,\"ts\":" + JsonNumber(e.start_s * 1e6) +
+           ",\"dur\":" + JsonNumber(dur) + ",\"name\":" + JsonString(e.name) +
            ",\"cat\":" + JsonString(e.category) +
            ",\"args\":{\"span\":" + std::to_string(++span_seq) +
            ",\"parent\":0";

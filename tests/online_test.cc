@@ -89,6 +89,11 @@ TEST_P(OnlineSnapshotTest, SnapshotsConvergeToFinal) {
   mr::VectorEmitter<Records> final_emitter(&final_records);
   ASSERT_TRUE(driver.Finalize(&final_emitter).ok());
   EXPECT_EQ(Decode(final_records), truth);
+  // The in-memory store shares the spill-merge memtable but must ignore
+  // the spill threshold set above.
+  if (GetParam() == StoreType::kInMemory) {
+    EXPECT_EQ(driver.store()->stats().spills, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Stores, OnlineSnapshotTest,

@@ -3,6 +3,8 @@
 // through the single PartialStore::Fold entry point.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <vector>
@@ -11,9 +13,9 @@
 #include "common/rng.h"
 #include "common/serde.h"
 #include "core/barrierless_driver.h"
-#include "core/inmemory_store.h"
 #include "core/kvstore.h"
 #include "core/partial_store.h"
+#include "core/scratch_dir.h"
 #include "core/spill_file.h"
 #include "core/spill_merge_store.h"
 #include "faults/fault_injector.h"
@@ -163,24 +165,23 @@ std::vector<std::string> KeyOrder(PartialStore* store) {
 }
 
 TEST(InMemoryStoreTest, FoldStartsFromInitPartialAndUpdatesInPlace) {
-  StoreConfig config;
-  InMemoryStore store(config);
+  auto store = CreatePartialStore(StoreConfig());
   CountReducer reducer;
-  ASSERT_TRUE(FoldAll(&store, &reducer, {"a", "b", "a", "a"}).ok());
+  ASSERT_TRUE(FoldAll(store.get(), &reducer, {"a", "b", "a", "a"}).ok());
   EXPECT_EQ(reducer.inits, 2) << "one InitPartial per new key";
-  auto contents = Contents(store, &reducer);
+  auto contents = Contents(*store, &reducer);
   EXPECT_EQ(Count(contents["a"]), 3);
   EXPECT_EQ(Count(contents["b"]), 1);
-  EXPECT_EQ(store.NumKeys(), 2u);
-  EXPECT_EQ(store.stats().folds, 4u);
+  EXPECT_EQ(store->NumKeys(), 2u);
+  EXPECT_EQ(store->stats().folds, 4u);
 }
 
 TEST(InMemoryStoreTest, IteratesInKeyOrder) {
-  StoreConfig config;
-  InMemoryStore store(config);
+  auto store = CreatePartialStore(StoreConfig());
   LastWriteWins reducer;
-  ASSERT_TRUE(FoldAll(&store, &reducer, {"zebra", "apple", "mango"}).ok());
-  EXPECT_EQ(KeyOrder(&store),
+  ASSERT_TRUE(
+      FoldAll(store.get(), &reducer, {"zebra", "apple", "mango"}).ok());
+  EXPECT_EQ(KeyOrder(store.get()),
             (std::vector<std::string>{"apple", "mango", "zebra"}));
 }
 
@@ -188,37 +189,42 @@ TEST(InMemoryStoreTest, RespectsCustomComparator) {
   StoreConfig config;
   // Reverse lexicographic order.
   config.key_cmp = [](Slice a, Slice b) { return b.Compare(a); };
-  InMemoryStore store(config);
+  auto store = CreatePartialStore(config);
   LastWriteWins reducer;
-  ASSERT_TRUE(FoldAll(&store, &reducer, {"a", "c", "b"}).ok());
-  EXPECT_EQ(KeyOrder(&store), (std::vector<std::string>{"c", "b", "a"}));
-}
-
-TEST(InMemoryStoreTest, HeapCapTriggersResourceExhausted) {
-  StoreConfig config;
-  config.heap_limit_bytes = 2048;  // a handful of entries
-  InMemoryStore store(config);
-  LastWriteWins reducer;
-  const std::string value(32, 'x');
-  Status last = Status::Ok();
-  for (int i = 0; i < 1000 && last.ok(); ++i) {
-    last = store.Fold("key" + std::to_string(i), value, &reducer, nullptr);
-  }
-  EXPECT_EQ(last.code(), StatusCode::kResourceExhausted);
-  // Mutate, then report: the overflowing fold is visible in the peak.
-  EXPECT_GT(store.stats().peak_memory_bytes, config.heap_limit_bytes);
+  ASSERT_TRUE(FoldAll(store.get(), &reducer, {"a", "c", "b"}).ok());
+  EXPECT_EQ(KeyOrder(store.get()), (std::vector<std::string>{"c", "b", "a"}));
 }
 
 TEST(InMemoryStoreTest, MemoryAccountingTracksValueResizes) {
-  StoreConfig config;
-  InMemoryStore store(config);
+  auto store = CreatePartialStore(StoreConfig());
   LastWriteWins reducer;
-  ASSERT_TRUE(store.Fold("k", std::string(100, 'a'), &reducer, nullptr).ok());
-  uint64_t m1 = store.MemoryBytes();
+  ASSERT_TRUE(
+      store->Fold("k", std::string(100, 'a'), &reducer, nullptr).ok());
+  uint64_t m1 = store->MemoryBytes();
   EXPECT_EQ(m1, EntryFootprint(1, 100));
-  ASSERT_TRUE(store.Fold("k", std::string(10, 'b'), &reducer, nullptr).ok());
-  uint64_t m2 = store.MemoryBytes();
+  ASSERT_TRUE(store->Fold("k", std::string(10, 'b'), &reducer, nullptr).ok());
+  uint64_t m2 = store->MemoryBytes();
   EXPECT_EQ(m1 - m2, 90u);
+}
+
+TEST(InMemoryStoreTest, NeverTouchesScratchDir) {
+  // A scratch_dir no directory can be created under: a store that
+  // never spills must not try.
+  ScratchDir scratch;
+  std::string file = scratch.FilePath("not_a_dir");
+  std::ofstream(file) << "x";
+  StoreConfig config;
+  config.scratch_dir = file;
+  config.spill_threshold_bytes = 1;  // ignored by kInMemory
+  auto store = CreatePartialStore(config);
+  CountReducer reducer;
+  ASSERT_TRUE(FoldAll(store.get(), &reducer, {"a", "b", "a"}).ok());
+  Status status = Status::Ok();
+  auto result = DriveCounts(store.get(), {}, &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(result, (std::map<std::string, int64_t>{{"a", 2}, {"b", 1}}));
+  EXPECT_EQ(store->stats().spills, 0u);
+  EXPECT_TRUE(std::filesystem::is_regular_file(file));
 }
 
 TEST(SpillMergeStoreTest, SpillsAtThresholdAndStillAnswersCorrectly) {
@@ -267,32 +273,40 @@ TEST(SpillMergeStoreTest, ExplicitSpillRestartsFromInitPartial) {
   EXPECT_EQ(result["k"], 7);
 }
 
-TEST(SpillMergeStoreTest, HeapCapRejectsBeforeMutation) {
+/// The heap cap over both memtable stores (kInMemory is kSpillMerge
+/// that never spills), built through the factory as the engine does.
+class HeapCapTest : public ::testing::TestWithParam<StoreType> {};
+
+TEST_P(HeapCapTest, RejectsBeforeMutation) {
   StoreConfig config;
-  config.type = StoreType::kSpillMerge;
+  config.type = GetParam();
   config.heap_limit_bytes = 512;
   config.spill_threshold_bytes = 1 << 30;  // never spill in this test
-  SpillMergeStore store(config);
+  auto store = CreatePartialStore(config);
   LastWriteWins reducer;
-  ASSERT_TRUE(store.Fold("small", "v", &reducer, nullptr).ok());
-  uint64_t keys_before = store.NumKeys();
-  uint64_t bytes_before = store.MemoryBytes();
-  uint64_t peak_before = store.stats().peak_memory_bytes;
+  ASSERT_TRUE(store->Fold("small", "v", &reducer, nullptr).ok());
+  uint64_t keys_before = store->NumKeys();
+  uint64_t bytes_before = store->MemoryBytes();
+  uint64_t peak_before = store->stats().peak_memory_bytes;
 
-  Status st = store.Fold("huge", std::string(4096, 'x'), &reducer, nullptr);
+  Status st = store->Fold("huge", std::string(4096, 'x'), &reducer, nullptr);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
   // The rejected fold must not have touched the memtable or stats: no
   // phantom key, no inflated byte count, no moved peak.
-  EXPECT_EQ(store.NumKeys(), keys_before);
-  EXPECT_EQ(store.MemoryBytes(), bytes_before);
-  EXPECT_EQ(store.stats().peak_memory_bytes, peak_before);
+  EXPECT_EQ(store->NumKeys(), keys_before);
+  EXPECT_EQ(store->MemoryBytes(), bytes_before);
+  EXPECT_EQ(store->stats().peak_memory_bytes, peak_before);
   // An oversize fold into an existing key is also rejected unmutated.
-  st = store.Fold("small", std::string(4096, 'y'), &reducer, nullptr);
+  st = store->Fold("small", std::string(4096, 'y'), &reducer, nullptr);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
-  EXPECT_EQ(Contents(store, &reducer)["small"], "v");
+  EXPECT_EQ(Contents(*store, &reducer)["small"], "v");
   // The store remains usable after rejections.
-  ASSERT_TRUE(store.Fold("other", "w", &reducer, nullptr).ok());
+  ASSERT_TRUE(store->Fold("other", "w", &reducer, nullptr).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(MemtableStores, HeapCapTest,
+                         ::testing::Values(StoreType::kInMemory,
+                                           StoreType::kSpillMerge));
 
 TEST(KvStoreTest, EvictsToDiskAndPagesBackIn) {
   StoreConfig config;
@@ -316,22 +330,6 @@ TEST(KvStoreTest, EvictsToDiskAndPagesBackIn) {
   for (const auto& [key, partial] : contents) {
     EXPECT_EQ(Count(partial), 2) << key;
   }
-}
-
-TEST(KvStoreTest, ChargesTwoCalibratedOpsPerFold) {
-  StoreConfig config;
-  config.type = StoreType::kKvStore;
-  config.kv_ops_per_sec = 30000;  // the paper's BerkeleyDB measurement
-  KvStoreBackend store(config);
-  CountReducer reducer;
-  constexpr int kFolds = 3000;
-  for (int i = 0; i < kFolds; ++i) {
-    ASSERT_TRUE(
-        store.Fold("k" + std::to_string(i % 100), "", &reducer, nullptr).ok());
-  }
-  // A fold is the paper's read-modify-update: a read plus a write.
-  EXPECT_NEAR(store.stats().charged_seconds,
-              2.0 * kFolds / config.kv_ops_per_sec, 1e-9);
 }
 
 TEST(KvStoreTest, UpdatedValueWinsAfterEviction) {
