@@ -11,8 +11,8 @@
 #include "simmr/profiles.h"
 
 using bmr::cluster::PaperCluster;
+using bmr::mr::ActiveAt;
 using bmr::mr::Phase;
-using bmr::mr::Timeline;
 using bmr::simmr::SimJob;
 using bmr::simmr::SimResult;
 using bmr::simmr::SimulateJob;
@@ -29,16 +29,16 @@ void PrintActivity(const SimResult& result, bool barrierless) {
   for (double t = 0; t <= horizon + step / 2; t += step) {
     if (barrierless) {
       std::printf("%.0f\t%d\t%d\t%d\n", t,
-                  Timeline::ActiveAt(events, Phase::kMap, t),
-                  Timeline::ActiveAt(events, Phase::kShuffleReduce, t),
-                  Timeline::ActiveAt(events, Phase::kOutput, t));
+                  ActiveAt(events, Phase::kMap, t),
+                  ActiveAt(events, Phase::kShuffleReduce, t),
+                  ActiveAt(events, Phase::kOutput, t));
     } else {
       std::printf("%.0f\t%d\t%d\t%d\t%d\t%d\n", t,
-                  Timeline::ActiveAt(events, Phase::kMap, t),
-                  Timeline::ActiveAt(events, Phase::kShuffle, t),
-                  Timeline::ActiveAt(events, Phase::kSortMerge, t),
-                  Timeline::ActiveAt(events, Phase::kReduce, t),
-                  Timeline::ActiveAt(events, Phase::kOutput, t));
+                  ActiveAt(events, Phase::kMap, t),
+                  ActiveAt(events, Phase::kShuffle, t),
+                  ActiveAt(events, Phase::kSortMerge, t),
+                  ActiveAt(events, Phase::kReduce, t),
+                  ActiveAt(events, Phase::kOutput, t));
     }
   }
 }

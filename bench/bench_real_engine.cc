@@ -87,8 +87,8 @@ int main() {
     if (result.ok()) {
       std::printf("\nbarrier-less task activity over wall time "
                   "(tasks active per phase):\n%s",
-                  bmr::mr::Timeline::RenderActivity(
-                      result.events, result.elapsed_seconds / 12)
+                  bmr::mr::RenderActivity(result.events,
+                                          result.elapsed_seconds / 12)
                       .c_str());
     }
   }

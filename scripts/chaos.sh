@@ -21,10 +21,11 @@ jobs=$(nproc 2>/dev/null || echo 2)
 cmake --preset default
 cmake --build --preset default -j "${jobs}"
 
-# Crash flight recorder (GUIDE §15): every faulted run dumps its
-# post-mortem ring into this directory; after the sweep each artifact
-# must validate as Perfetto JSON carrying its trigger event.  A crashy
-# sweep that leaves no artifacts is itself a failure.
+# Flight dumps (GUIDE §15): every faulted run dumps its own event
+# record into this directory; after the sweep each artifact must
+# validate as Perfetto JSON carrying its trigger instant and the job's
+# task-phase spans.  A crashy sweep that leaves no artifacts is itself
+# a failure.
 flight_dir=$(mktemp -d)
 export BMR_FLIGHT_DIR="${flight_dir}"
 trap 'rm -rf "${flight_dir}"' EXIT
@@ -44,7 +45,7 @@ for transport in inproc tcp; do
   done
 done
 
-echo "== validating flight-recorder artifacts from the sweep =="
+echo "== validating flight-dump artifacts from the sweep =="
 cmake --build build -j "${jobs}" --target bmr_trace >/dev/null
 ./build/tools/bmr_trace --validate-flight="${flight_dir}"
 echo "== chaos sweep passed (${seeds} seeds, both transports, both codecs) =="

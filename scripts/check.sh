@@ -168,6 +168,8 @@ for preset in "${presets[@]}"; do
       || { echo "introspect: service families missing from /metrics"; exit 1; }
     grep -q '"pools"' build/introspect_jobs.json \
       || { echo "introspect: pool tree missing from /jobs"; exit 1; }
+    grep -q '"cat":"task"' build/introspect_trace.json \
+      || { echo "introspect: no task-phase span in /trace"; exit 1; }
     # Acceptance gate: a traced TCP wordcount yields one stitched tree
     # (rpc.handler spans under cross-node parents, zero orphans).
     BMR_NET_TRANSPORT=tcp ./build/tools/bmr_trace --check \

@@ -28,8 +28,6 @@ class Config {
     values_[key] = value ? "true" : "false";
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
   std::string GetString(const std::string& key,
                         const std::string& fallback = "") const {
     auto it = values_.find(key);

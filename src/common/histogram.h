@@ -4,7 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -53,14 +52,6 @@ class Distribution {
   }
 
   double Median() { return Quantile(0.5); }
-
-  double Stddev() const {
-    if (samples_.size() < 2) return 0.0;
-    double m = Mean();
-    double acc = 0;
-    for (double v : samples_) acc += (v - m) * (v - m);
-    return std::sqrt(acc / samples_.size());
-  }
 
   const std::vector<double>& samples() const { return samples_; }
 

@@ -85,13 +85,6 @@ class Pcg32 {
     return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   }
 
-  /// Exponential with the given rate.
-  double NextExponential(double rate) {
-    double u = NextDouble();
-    if (u >= 1.0) u = 0.9999999999999999;
-    return -std::log(1.0 - u) / rate;
-  }
-
  private:
   uint64_t state_;
   uint64_t inc_;

@@ -70,16 +70,4 @@ bool DecodeI64(Slice s, int64_t* v) {
   return dec.GetSignedVarint64(v) && dec.empty();
 }
 
-std::string EncodeDouble(double v) {
-  ByteBuffer buf(8);
-  Encoder enc(&buf);
-  enc.PutDouble(v);
-  return buf.ToString();
-}
-
-bool DecodeDouble(Slice s, double* v) {
-  Decoder dec(s);
-  return dec.GetDouble(v) && dec.empty();
-}
-
 }  // namespace bmr

@@ -39,8 +39,6 @@ class Encoder {
     out_->PushByte(static_cast<uint8_t>(v));
   }
 
-  void PutVarint32(uint32_t v) { PutVarint64(v); }
-
   static uint64_t ZigZag(int64_t v) {
     return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
   }
@@ -114,13 +112,6 @@ class Decoder {
     return false;  // varint longer than 10 bytes
   }
 
-  bool GetVarint32(uint32_t* v) {
-    uint64_t wide;
-    if (!GetVarint64(&wide) || wide > UINT32_MAX) return false;
-    *v = static_cast<uint32_t>(wide);
-    return true;
-  }
-
   static int64_t UnZigZag(uint64_t v) {
     return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
   }
@@ -188,7 +179,5 @@ bool DecodeOrderedDouble(Slice s, double* v);
 /// Compact (not order-preserving) encodings for values.
 std::string EncodeI64(int64_t v);
 bool DecodeI64(Slice s, int64_t* v);
-std::string EncodeDouble(double v);
-bool DecodeDouble(Slice s, double* v);
 
 }  // namespace bmr

@@ -218,11 +218,6 @@ Status DataNode::ReadBlock(uint64_t block_id, uint64_t offset, uint64_t len,
   return Status::Ok();
 }
 
-bool DataNode::HasBlock(uint64_t block_id) const {
-  MutexLock lock(mu_);
-  return blocks_.count(block_id) > 0;
-}
-
 uint64_t DataNode::stored_bytes() const {
   MutexLock lock(mu_);
   return stored_bytes_;

@@ -105,7 +105,6 @@ class DataNode {
   [[nodiscard]] Status ReadBlock(uint64_t block_id, uint64_t offset,
                                  uint64_t len, ByteBuffer* out) const
       BMR_EXCLUDES(mu_);
-  bool HasBlock(uint64_t block_id) const BMR_EXCLUDES(mu_);
   uint64_t stored_bytes() const BMR_EXCLUDES(mu_);
   size_t num_blocks() const BMR_EXCLUDES(mu_);
 

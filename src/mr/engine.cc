@@ -1,23 +1,21 @@
 #include "mr/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <thread>
 
 #include "common/arena.h"
 #include "common/codec.h"
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "concurrency/thread_pool.h"
 #include "faults/fault_injector.h"
 #include "mr/input.h"
 #include "mr/job_control.h"
 #include "mr/map_output.h"
+#include "mr/obs_export.h"
 #include "mr/shuffle_service.h"
 #include "mr/task_executor.h"
 #include "mr/task_scheduler.h"
-#include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 #include "obs/trace.h"
 
@@ -90,8 +88,8 @@ class JobExecution {
   /// on a node other than the one that lost it.
   void Relaunch(int map_task, int lost_node) {
     metrics_.AddCounter(kCtrMapTaskRetries, 1);
-    obs::FlightRecorder::Global()->Note("map.relaunch", "recovery", map_task,
-                                        lost_node);
+    double now = metrics_.Now();
+    metrics_.RecordEvent(Phase::kRecovery, map_task, lost_node, now, now);
     scheduler_->ReopenTask(map_task);
     TaskScheduler::Attempt attempt = scheduler_->Assign(map_task, lost_node);
     map_pool_->Submit(
@@ -215,8 +213,6 @@ JobResult JobExecution::Run() {
 
   // Launch.
   metrics_.RestartClock();
-  obs::FlightRecorder::Global()->Note("job.start", "job",
-                                      static_cast<int64_t>(job_id), -1);
   obs::SpanId root_span = 0;
   if (traced) {
     // The job span stays open for the whole run; task spans parent to
@@ -241,22 +237,27 @@ JobResult JobExecution::Run() {
         [this, r, node] { reduce_executor_->Execute(r, node); });
   }
 
-  // Straggler watchdog: poll the scheduler for backup attempts while
-  // map tasks are still uncommitted.  Runs on a single-worker pool so
-  // the engine owns no raw std::threads (lint rule).
-  std::atomic<bool> stop_watchdog{false};
+  // Straggler watchdog: poll the scheduler for backup attempts every
+  // 5 ms while map tasks are still uncommitted.  The wait is a timed
+  // condvar wait, so stopping it does not sit out a poll interval.
+  // Runs on a single-worker pool so the engine owns no raw std::threads
+  // (lint rule).
+  Mutex watchdog_mu;
+  CondVar watchdog_cv;
+  bool stop_watchdog = false;
   std::unique_ptr<ThreadPool> watchdog;
   if (spec_.speculative_maps) {
     watchdog = std::make_unique<ThreadPool>(1);
-    watchdog->Submit([this, &stop_watchdog] {
-      while (!stop_watchdog.load(std::memory_order_relaxed)) {
+    watchdog->Submit([&] {
+      MutexLock lock(watchdog_mu);
+      while (!stop_watchdog) {
         if (control_->cancelled() || scheduler_->AllCommitted()) break;
         for (const TaskScheduler::Attempt& backup :
              scheduler_->PollSpeculation(metrics_.Now())) {
           map_pool_->Submit(
               [this, backup] { map_executor_->Execute(backup); });
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        (void)watchdog_cv.WaitFor(watchdog_mu, 5.0);
       }
     });
   }
@@ -264,12 +265,16 @@ JobResult JobExecution::Run() {
   // Reducers finish only once every map output has been fetched, so
   // the watchdog can be retired before draining the map pool.
   reduce_pool_->Wait();
-  stop_watchdog.store(true, std::memory_order_relaxed);
+  {
+    MutexLock lock(watchdog_mu);
+    stop_watchdog = true;
+  }
+  watchdog_cv.NotifyAll();
   watchdog.reset();  // joins the watchdog worker
   map_pool_->Wait();
 
   // Export the faults that fired during this run into the job's own
-  // observability: timeline events (instantaneous, task_id = kind) and
+  // observability: task events (instantaneous, task_id = kind) and
   // per-kind counters.
   if (faults::FaultInjector* injector = cluster_->fault_injector) {
     Counters fault_counters;
@@ -281,14 +286,11 @@ JobResult JobExecution::Run() {
           std::string(obs::kCtrFaultInjectedPrefix) +
               faults::FaultKindName(rec.kind),
           1);
-      obs::FlightRecorder::Global()->Note(
-          std::string("fault.") + faults::FaultKindName(rec.kind), "fault",
-          static_cast<int64_t>(rec.kind), rec.node);
       if (rec.kind == faults::FaultKind::kNodeCrash) {
         // An injected crash is always dump-worthy forensics, even when
         // recovery saves the job.
-        obs::FlightRecorder::Global()->RequestDump(
-            "fault.node_crash node=" + std::to_string(rec.node), rec.node);
+        metrics_.RequestDump("fault.node_crash node=" +
+                             std::to_string(rec.node));
       }
     }
     metrics_.MergeCounters(fault_counters);
@@ -308,6 +310,11 @@ JobResult JobExecution::Run() {
     cluster_->transport->SetObserver(nullptr);
   }
 
+  const Status status = control_->status();
+  if (!status.ok()) {
+    metrics_.RequestDump(std::string("job.failure: ") + status.message());
+  }
+
   // Every reducer has drained and every map completed: flush any encode
   // still in flight so the codec byte counts below are complete.
   shuffle_->DrainPublishes();
@@ -324,35 +331,26 @@ JobResult JobExecution::Run() {
   result.data_plane.arena_buffer_reuses = pool_stats.reuses;
   result.data_plane.arena_cached_bytes = pool_stats.cached_bytes;
 
-  result.status = control_->status();
+  result.status = status;
 
-  // Post-mortem flight dump (GUIDE §15): anything that requested one
-  // during the run — injected crash, tainted-reducer restart — plus a
-  // job failure here, produces one artifact per job run, written to
-  // the obs.flight_dir knob / BMR_FLIGHT_DIR env.  No directory
-  // configured = triggers are dropped (the ring keeps recording).
-  obs::FlightRecorder* recorder = obs::FlightRecorder::Global();
-  if (!result.status.ok()) {
-    recorder->RequestDump(
-        std::string("job.failure: ") + result.status.message(),
-        static_cast<int64_t>(job_id));
-  }
-  std::vector<std::string> dump_reasons = recorder->TakeDumpReasons();
-  if (!dump_reasons.empty()) {
+  // Post-mortem flight dump (GUIDE §15): a job that requested one —
+  // injected crash, tainted-reducer restart, failure — writes one
+  // artifact of its own record to the obs.flight_dir knob /
+  // BMR_FLIGHT_DIR env.  No directory configured = no artifact.
+  if (!result.dump_reasons.empty()) {
     std::string flight_dir = spec_.config.GetString("obs.flight_dir", "");
     if (flight_dir.empty()) {
       const char* env = std::getenv("BMR_FLIGHT_DIR");
       if (env != nullptr) flight_dir = env;
     }
     if (!flight_dir.empty()) {
-      StatusOr<std::string> path = recorder->DumpToDir(flight_dir);
+      StatusOr<std::string> path = WriteFlightArtifact(result, flight_dir);
       if (path.ok()) {
         result.flight_dumps = 1;
-        BMR_INFO << "flight recorder dumped " << *path << " ("
-                 << dump_reasons.front() << ")";
+        BMR_INFO << "flight dump " << *path << " ("
+                 << result.dump_reasons.front() << ")";
       } else {
-        BMR_WARN << "flight recorder dump failed: "
-                 << path.status().message();
+        BMR_WARN << "flight dump failed: " << path.status().message();
       }
     }
   }

@@ -73,11 +73,6 @@ struct JobSpec {
   /// at the end.  Caller must keep num_reducers, partitioner, and key
   /// order stable across runs.  Not owned.
   core::JobSession* session = nullptr;
-  /// Barrier mode sorts map output at the mapper and merges at the
-  /// reducer (Hadoop).  Barrier-less mode bypasses the sort entirely —
-  /// design decision (1) in §3.1.  Kept as an explicit knob for the
-  /// ablation bench.
-  bool map_side_sort = true;
   core::StoreConfig store;
 
   Config config;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
 
 namespace bmr::mr {
 
@@ -43,17 +43,17 @@ void MetricsRegistry::NoteOutputFile(std::string path) {
 
 void MetricsRegistry::RecordEvent(Phase phase, int task_id, int node,
                                   double start, double end) {
-  timeline_.Record(phase, task_id, node, start, end);
-  // Mirror every task-phase event into the always-armed flight ring
-  // (GUIDE §15) so a post-mortem dump shows recent task history even
-  // for runs with obs.trace off.
-  obs::FlightRecorder::Global()->RecordSpan(PhaseName(phase), "task", task_id,
-                                            node, end - start);
+  MutexLock lock(mu_);
+  events_.push_back(TaskEvent{phase, task_id, node, start, end});
+}
+
+void MetricsRegistry::RequestDump(std::string reason) {
+  MutexLock lock(mu_);
+  dump_reasons_.push_back(std::move(reason));
 }
 
 JobMetrics MetricsRegistry::Snapshot() const {
   JobMetrics m;
-  m.events = timeline_.Snapshot();
   m.elapsed_seconds = Now();
   if (tracer_.enabled()) {
     m.trace_enabled = true;
@@ -65,6 +65,8 @@ JobMetrics MetricsRegistry::Snapshot() const {
   m.counters = counters_;
   m.memory_samples = samples_;
   m.output_files = output_files_;
+  m.events = events_;
+  m.dump_reasons = dump_reasons_;
   m.first_map_done = first_map_done_;
   m.last_map_done = last_map_done_;
   return m;

@@ -1,8 +1,9 @@
 // Job-scoped metrics: one registry that every task of a run reports
 // into (counters, heap samples, map completion times, output files,
-// task timeline) and one snapshot schema (`JobMetrics`) shared by the
-// real engine, the benches, and the simulator, so real and simulated
-// runs can be printed and compared through the same code path.
+// task events, dump requests) and one snapshot schema (`JobMetrics`)
+// shared by the real engine, the benches, and the simulator, so real
+// and simulated runs can be printed and compared through the same code
+// path.
 #pragma once
 
 #include <map>
@@ -64,7 +65,10 @@ struct JobMetrics {
   /// Spans lost at the tracer's central-log cap (GUIDE §15); exported
   /// as bmr_obs_spans_dropped_total so span loss is never silent.
   uint64_t spans_dropped = 0;
-  /// Flight-recorder artifacts written at this job's end.
+  /// Why this job asked for a post-mortem flight dump (GUIDE §15):
+  /// reducer restart, injected node crash, job failure.  Empty = none.
+  std::vector<std::string> dump_reasons;
+  /// Flight artifacts written at this job's end (0 or 1).
   uint64_t flight_dumps = 0;
 };
 
@@ -106,12 +110,11 @@ class MetricsRegistry {
   void SampleMemory(int reducer, uint64_t bytes) BMR_EXCLUDES(mu_);
   void NoteMapDone() BMR_EXCLUDES(mu_);
   void NoteOutputFile(std::string path) BMR_EXCLUDES(mu_);
-  // BMR_EXCLUDES(mu_) even though the timeline has its own lock:
-  // every reporting method carries the annotation so a future change
-  // that touches guarded state under mu_ cannot silently create a
-  // hold-across-report deadlock path.
   void RecordEvent(Phase phase, int task_id, int node, double start,
                    double end) BMR_EXCLUDES(mu_);
+  /// Ask for a flight dump of this job's record at its end; `reason`
+  /// becomes a `flight.trigger` instant in the artifact.
+  void RequestDump(std::string reason) BMR_EXCLUDES(mu_);
 
   /// Consistent copy of everything reported so far; stamps
   /// elapsed_seconds with Now().  When tracing is enabled the snapshot
@@ -120,12 +123,13 @@ class MetricsRegistry {
 
  private:
   Stopwatch clock_;
-  Timeline timeline_;          // internally synchronized
   mutable obs::Tracer tracer_;  // internally synchronized
   mutable OrderedMutex mu_{"mr.metrics"};
   Counters counters_ BMR_GUARDED_BY(mu_);
   std::vector<MemorySample> samples_ BMR_GUARDED_BY(mu_);
   std::vector<std::string> output_files_ BMR_GUARDED_BY(mu_);
+  std::vector<TaskEvent> events_ BMR_GUARDED_BY(mu_);
+  std::vector<std::string> dump_reasons_ BMR_GUARDED_BY(mu_);
   double first_map_done_ BMR_GUARDED_BY(mu_) = 0;
   double last_map_done_ BMR_GUARDED_BY(mu_) = 0;
 };

@@ -1,6 +1,9 @@
 #include "mr/obs_export.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <set>
 
@@ -14,6 +17,32 @@ namespace {
 // fine-grained engine-thread spans (pid 1) and the coarse per-task
 // phase bars (pid 2) do not interleave on one lane.
 constexpr int kTaskPid = 2;
+
+/// Keep the `n` most recently finished spans and counter samples of
+/// `log`, taking from whichever list ends later.
+void KeepLast(obs::TraceLog* log, size_t n) {
+  std::vector<obs::Span>& spans = log->spans;
+  std::vector<obs::CounterSample>& counters = log->counters;
+  if (spans.size() + counters.size() <= n) return;
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const obs::Span& a, const obs::Span& b) {
+                     return a.end_s < b.end_s;
+                   });
+  std::stable_sort(counters.begin(), counters.end(),
+                   [](const obs::CounterSample& a,
+                      const obs::CounterSample& b) { return a.t_s < b.t_s; });
+  size_t s = spans.size();
+  size_t c = counters.size();
+  for (; n > 0; --n) {
+    if (c == 0 || (s > 0 && spans[s - 1].end_s >= counters[c - 1].t_s)) {
+      --s;
+    } else {
+      --c;
+    }
+  }
+  spans.erase(spans.begin(), spans.begin() + s);
+  counters.erase(counters.begin(), counters.begin() + c);
+}
 
 }  // namespace
 
@@ -109,6 +138,33 @@ Status WriteTraceArtifacts(const JobMetrics& m,
     return Status::Internal("cannot write " + prom_text_path);
   }
   return Status::Ok();
+}
+
+std::string FlightTraceJson(const JobMetrics& m, size_t last_n) {
+  obs::TraceLog log = BuildTraceLog(m);
+  size_t triggers = m.dump_reasons.size();
+  if (last_n > 0) {
+    triggers = std::min(triggers, last_n);
+    KeepLast(&log, last_n - triggers);
+  }
+  for (size_t i = m.dump_reasons.size() - triggers; i < m.dump_reasons.size();
+       ++i) {
+    log.instants.push_back({m.dump_reasons[i], obs::kFlightTriggerCategory,
+                            kTaskPid, 0, m.elapsed_seconds});
+  }
+  return obs::PerfettoTraceJson(log);
+}
+
+StatusOr<std::string> WriteFlightArtifact(const JobMetrics& m,
+                                          const std::string& dir) {
+  static std::atomic<uint64_t> seq{0};
+  const std::string path = dir + "/flight_" + std::to_string(getpid()) + "_" +
+                           std::to_string(seq.fetch_add(1)) + ".json";
+  std::ofstream out(path, std::ios::trunc);
+  out << FlightTraceJson(m, kFlightEvents);
+  out.close();
+  if (!out) return Status::Internal("cannot write flight artifact " + path);
+  return path;
 }
 
 }  // namespace bmr::mr

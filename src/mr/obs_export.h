@@ -3,6 +3,7 @@
 // renders real and simulated runs (ISSUE 5 tentpole piece 3).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "common/status.h"
@@ -30,5 +31,20 @@ obs::MetricsSnapshot BuildMetricsSnapshot(const JobMetrics& m);
 [[nodiscard]] Status WriteTraceArtifacts(const JobMetrics& m,
                                          const std::string& trace_json_path,
                                          const std::string& prom_text_path);
+
+/// Events a flight artifact keeps (GUIDE §15).
+inline constexpr size_t kFlightEvents = 4096;
+
+/// The flight view of a run as Perfetto JSON: BuildTraceLog(m) cut to
+/// its `last_n` most recently finished spans and counter samples
+/// (0 = all), plus one obs::kFlightTriggerCategory instant per dump
+/// reason at the job's end.  The instants count toward `last_n`.
+std::string FlightTraceJson(const JobMetrics& m, size_t last_n);
+
+/// Write FlightTraceJson(m, kFlightEvents) to
+/// `dir`/flight_<pid>_<seq>.json, where seq counts this process's
+/// artifacts, and return the path.
+[[nodiscard]] StatusOr<std::string> WriteFlightArtifact(
+    const JobMetrics& m, const std::string& dir);
 
 }  // namespace bmr::mr

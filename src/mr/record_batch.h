@@ -38,29 +38,6 @@ class RecordBatch {
   explicit RecordBatch(std::shared_ptr<const std::string> buffer)
       : buffer_(std::move(buffer)) {}
 
-  /// Owning batch built from materialized records (tests, replay
-  /// paths): the bytes are packed into a fresh shared buffer.
-  static RecordBatch FromRecords(const std::vector<Record>& records) {
-    size_t total = 0;
-    for (const Record& r : records) total += r.key.size() + r.value.size();
-    auto buffer = std::make_shared<std::string>();
-    buffer->reserve(total);
-    for (const Record& r : records) {
-      buffer->append(r.key);
-      buffer->append(r.value);
-    }
-    RecordBatch batch{std::shared_ptr<const std::string>(buffer)};
-    const char* p = buffer->data();
-    for (const Record& r : records) {
-      Slice key(p, r.key.size());
-      p += r.key.size();
-      Slice value(p, r.value.size());
-      p += r.value.size();
-      batch.Add(key, value);
-    }
-    return batch;
-  }
-
   /// Append one record view.  `key`/`value` must point into (or
   /// outlive) the shared buffer — see the lifetime rule above.
   void Add(Slice key, Slice value) {

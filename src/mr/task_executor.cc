@@ -1,12 +1,11 @@
 #include "mr/task_executor.h"
 
-#include <algorithm>
+#include <utility>
 #include <cstdio>
 
 #include "core/barrierless_driver.h"
 #include "mr/map_output.h"
 #include "mr/textio.h"
-#include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 #include "obs/trace.h"
 
@@ -117,8 +116,7 @@ void MapTaskExecutor::Execute(TaskScheduler::Attempt attempt) {
 
   // Barrier-less mode bypasses the sort (§3.1) — unless a combiner is
   // configured, which needs sorted runs to group keys at the mapper.
-  bool sort = spec_.combiner ? true
-                             : (spec_.barrierless ? false : spec_.map_side_sort);
+  bool sort = spec_.combiner || !spec_.barrierless;
   std::unique_ptr<Combiner> combiner;
   if (spec_.combiner) combiner = spec_.combiner();
   auto finished = collector.Finish(sort, spec_.sort_cmp, combiner.get());
@@ -196,10 +194,8 @@ void ReduceTaskExecutor::Execute(int r, int node) {
       metrics_->AddCounter(kCtrReduceTaskRestarts, 1);
       // A restart means a tainted or failed reducer threw work away —
       // post-mortem worthy even if the retry succeeds (GUIDE §15).
-      obs::FlightRecorder::Global()->RequestDump(
-          std::string("reduce.restart task=") + std::to_string(r) + ": " +
-              st.message(),
-          r);
+      metrics_->RequestDump(std::string("reduce.restart task=") +
+                            std::to_string(r) + ": " + st.message());
       continue;
     }
     control_->Fail(st);
@@ -244,20 +240,7 @@ Status ReduceTaskExecutor::RunBarrier(int r, int node,
   {
     obs::ScopedSpan sort_span(metrics_->tracer(), obs::kSpanReduceSort,
                               "reduce", r);
-    if (spec_.map_side_sort) {
-      records = MergeSortedRuns(std::move(runs), spec_.sort_cmp);
-    } else {
-      for (auto& run : runs) {
-        records.insert(records.end(), std::make_move_iterator(run.begin()),
-                       std::make_move_iterator(run.end()));
-      }
-      const KeyCompareFn& cmp = spec_.sort_cmp;
-      std::stable_sort(records.begin(), records.end(),
-                       [&cmp](const Record& a, const Record& b) {
-                         return cmp ? cmp(Slice(a.key), Slice(b.key)) < 0
-                                    : a.key < b.key;
-                       });
-    }
+    records = MergeSortedRuns(std::move(runs), spec_.sort_cmp);
   }
   double sort_done = metrics_->Now();
   metrics_->RecordEvent(Phase::kSortMerge, r, node, barrier_time, sort_done);

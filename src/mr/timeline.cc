@@ -15,23 +15,12 @@ const char* PhaseName(Phase phase) {
     case Phase::kShuffleReduce: return "Shuffle+Reduce";
     case Phase::kOutput: return "Output";
     case Phase::kFault: return "Fault";
+    case Phase::kRecovery: return "Recovery";
   }
   return "?";
 }
 
-void Timeline::Record(Phase phase, int task_id, int node, double start,
-                      double end) {
-  MutexLock lock(mu_);
-  events_.push_back(TaskEvent{phase, task_id, node, start, end});
-}
-
-std::vector<TaskEvent> Timeline::Snapshot() const {
-  MutexLock lock(mu_);
-  return events_;
-}
-
-int Timeline::ActiveAt(const std::vector<TaskEvent>& events, Phase phase,
-                       double t) {
+int ActiveAt(const std::vector<TaskEvent>& events, Phase phase, double t) {
   int n = 0;
   for (const auto& e : events) {
     if (e.phase == phase && e.start <= t && t < e.end) ++n;
@@ -39,9 +28,8 @@ int Timeline::ActiveAt(const std::vector<TaskEvent>& events, Phase phase,
   return n;
 }
 
-std::string Timeline::RenderActivity(const std::vector<TaskEvent>& events,
-                                     double step) {
-  constexpr int kNumPhases = 7;
+std::string RenderActivity(const std::vector<TaskEvent>& events, double step) {
+  constexpr int kNumPhases = 8;
   double horizon = 0;
   bool phases_present[kNumPhases] = {};
   for (const auto& e : events) {

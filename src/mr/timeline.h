@@ -1,11 +1,11 @@
-// Task lifecycle timeline, the data behind Figure 4's task-count plots.
+// Task lifecycle events, the data behind Figure 4's task-count plots,
+// and the free functions that read them.  The events themselves live
+// in the job's MetricsRegistry (mr/metrics.h); simmr records into a
+// plain vector.
 #pragma once
 
 #include <string>
 #include <vector>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace bmr::mr {
 
@@ -17,6 +17,7 @@ enum class Phase {
   kShuffleReduce,  // barrier-less: pipelined fetch+reduce
   kOutput,         // final DFS write
   kFault,          // injected fault firing (chaos runs; start == end)
+  kRecovery,       // lost map output relaunched (start == end)
 };
 
 const char* PhaseName(Phase phase);
@@ -29,25 +30,11 @@ struct TaskEvent {
   double end = 0;
 };
 
-/// Thread-safe event sink.
-class Timeline {
- public:
-  void Record(Phase phase, int task_id, int node, double start, double end)
-      BMR_EXCLUDES(mu_);
-  std::vector<TaskEvent> Snapshot() const BMR_EXCLUDES(mu_);
+/// Number of tasks in `phase` active at time t.
+int ActiveAt(const std::vector<TaskEvent>& events, Phase phase, double t);
 
-  /// Number of tasks in `phase` active at time t.
-  static int ActiveAt(const std::vector<TaskEvent>& events, Phase phase,
-                      double t);
-
-  /// Render a per-phase activity table sampled every `step` seconds —
-  /// the textual form of Figure 4.
-  static std::string RenderActivity(const std::vector<TaskEvent>& events,
-                                    double step);
-
- private:
-  mutable Mutex mu_;
-  std::vector<TaskEvent> events_ BMR_GUARDED_BY(mu_);
-};
+/// Render a per-phase activity table sampled every `step` seconds —
+/// the textual form of Figure 4.
+std::string RenderActivity(const std::vector<TaskEvent>& events, double step);
 
 }  // namespace bmr::mr

@@ -28,10 +28,6 @@ struct Record {
 /// Three-way key comparison; negative / zero / positive like memcmp.
 using KeyCompareFn = std::function<int(Slice, Slice)>;
 
-/// Default byte-wise ordering (order-preserving encodings make this the
-/// numeric order too).
-inline int BytewiseCompare(Slice a, Slice b) { return a.Compare(b); }
-
 /// Partition assignment: key → [0, num_partitions).
 using PartitionFn = std::function<int(Slice key, int num_partitions)>;
 

@@ -10,6 +10,7 @@
 #include "obs/metric_names.h"
 
 namespace bmr::obs {
+namespace {
 
 std::string JsonString(const std::string& s) {
   std::string out = "\"";
@@ -47,8 +48,6 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
-namespace {
-
 double Micros(double seconds) { return seconds * 1e6; }
 
 }  // namespace
@@ -78,6 +77,7 @@ std::string PerfettoTraceJson(const TraceLog& log) {
   for (const Span* s : spans) pids.insert(s->pid);
   for (const TrackInfo& t : log.tracks) pids.insert(t.pid);
   for (const CounterSample& c : log.counters) pids.insert(c.pid);
+  for (const Instant& i : log.instants) pids.insert(i.pid);
   for (int pid : pids) {
     comma();
     const char* name = pid == 1 ? "bmr-engine" : pid == 2 ? "bmr-tasks" : "bmr";
@@ -115,6 +115,15 @@ std::string PerfettoTraceJson(const TraceLog& log) {
            ",\"ts\":" + JsonNumber(Micros(c.t_s)) + ",\"name\":" +
            JsonString(c.name) + ",\"args\":{\"value\":" +
            JsonNumber(c.value) + "}}";
+  }
+
+  for (const Instant& i : log.instants) {
+    comma();
+    out += "{\"ph\":\"i\",\"s\":\"p\",\"pid\":" + std::to_string(i.pid) +
+           ",\"tid\":" + std::to_string(i.tid) +
+           ",\"ts\":" + JsonNumber(Micros(i.t_s)) +
+           ",\"name\":" + JsonString(i.name) +
+           ",\"cat\":" + JsonString(i.category) + "}";
   }
 
   out += "]}\n";

@@ -23,17 +23,9 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
 };
 
-/// A JSON string literal: `s` quoted, with quotes, backslashes and
-/// control characters escaped.  Shared with the flight recorder, which
-/// writes the same Perfetto shape from its own event ring.
-std::string JsonString(const std::string& s);
-
-/// A JSON number with three decimals (trace timestamps and durations
-/// are microseconds, so this keeps nanosecond resolution).
-std::string JsonNumber(double v);
-
 /// Serialize a TraceLog as Chrome trace-event JSON ("X" complete
-/// events + "M" process/thread metadata + "C" counter tracks), loadable
+/// events + "M" process/thread metadata + "C" counter tracks + "i"
+/// instants), loadable
 /// in Perfetto / chrome://tracing.  Spans are sorted by start time, so
 /// event timestamps are monotonic.  Timestamps are microseconds on the
 /// job clock.

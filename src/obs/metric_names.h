@@ -93,9 +93,12 @@ inline constexpr const char* kPromArenaCachedBytes = "bmr_arena_cached_bytes";
 /// prefix, not the whole run.
 inline constexpr const char* kPromObsSpansDropped =
     "bmr_obs_spans_dropped_total";
-/// Flight-recorder post-mortem artifacts written at job end.
+/// Flight-dump post-mortem artifacts written at job end.
 inline constexpr const char* kPromObsFlightDumps =
     "bmr_obs_flight_dumps_total";
+/// Category of the instant naming each flight-dump trigger; the chaos
+/// harness greps dumped artifacts for it.
+inline constexpr const char* kFlightTriggerCategory = "flight.trigger";
 
 // ---- Multi-tenant job service (src/service/, GUIDE §14) --------------
 // Per-pool families: the service composes each series name with a

@@ -63,14 +63,26 @@ struct CounterSample {
   double value = 0;
 };
 
+/// One instantaneous marker with owned text (Perfetto "i" events) —
+/// e.g. a flight dump's trigger reason, which names a failure and so
+/// cannot be a static-lifetime Span name.
+struct Instant {
+  std::string name;
+  std::string category;
+  int pid = 1;
+  int tid = 0;
+  double t_s = 0;
+};
+
 /// Everything one run traced.  Exporters consume this; the engine
-/// fills it from the tracer (fine-grained spans) and the timeline
+/// fills it from the tracer (fine-grained spans) and its task events
 /// (task-phase lanes), and simmr fills it from simulated TaskEvents —
 /// both render through the same pipeline.
 struct TraceLog {
   std::vector<Span> spans;
   std::vector<TrackInfo> tracks;
   std::vector<CounterSample> counters;
+  std::vector<Instant> instants;
 
   bool empty() const { return spans.empty() && counters.empty(); }
 };

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/flight_recorder.h"
+#include "mr/obs_export.h"
 #include "obs/metric_names.h"
 
 namespace bmr::service {
@@ -299,6 +299,20 @@ std::string JobService::JobsJson() const {
   return out;
 }
 
+std::string JobService::TraceJson(size_t last_n) const {
+  std::shared_ptr<const JobEntry> latest;
+  {
+    MutexLock lock(mu_);
+    for (const auto& [id, entry] : jobs_) {
+      if (entry->state != JobState::kDone || entry->start_s == 0) continue;
+      if (latest == nullptr || entry->end_s > latest->end_s) latest = entry;
+    }
+  }
+  // A finished entry is never written again, so it renders off-lock.
+  if (latest == nullptr) return obs::PerfettoTraceJson(obs::TraceLog());
+  return mr::FlightTraceJson(latest->result, last_n);
+}
+
 Status JobService::ServeIntrospection(int port) {
   StatusOr<std::unique_ptr<obs::HttpIntrospectServer>> server =
       obs::HttpIntrospectServer::Create(port);
@@ -310,9 +324,8 @@ Status JobService::ServeIntrospection(int port) {
   introspect_->Handle("/jobs", "application/json",
                       [this](const std::string&) { return JobsJson(); });
   introspect_->Handle("/trace", "application/json",
-                      [](const std::string& query) {
-                        return obs::FlightRecorder::Global()->SnapshotJson(
-                            ParseLastParam(query));
+                      [this](const std::string& query) {
+                        return TraceJson(ParseLastParam(query));
                       });
   return Status::Ok();
 }

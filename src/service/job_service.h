@@ -104,9 +104,15 @@ class JobService {
   /// (queued/running/started), and lifetime outcome counters.
   std::string JobsJson() const BMR_EXCLUDES(mu_);
 
+  /// Perfetto JSON of the most recently finished job's record for the
+  /// /trace endpoint: the flight view (mr::FlightTraceJson) cut to its
+  /// last `last_n` events (0 = all).  An empty trace before any job
+  /// has finished; a running job shows only once it ends.
+  std::string TraceJson(size_t last_n) const BMR_EXCLUDES(mu_);
+
   /// Start the live introspection endpoints on 127.0.0.1:`port` (0 =
   /// ephemeral): /metrics (Prometheus exposition), /jobs (pool-tree
-  /// JSON), /trace?last=N (flight-recorder snapshot).
+  /// JSON), /trace?last=N (TraceJson).
   [[nodiscard]] Status ServeIntrospection(int port) BMR_EXCLUDES(mu_);
   /// The bound introspection port; 0 before ServeIntrospection.
   int introspect_port() const;

@@ -199,15 +199,6 @@ size_t PoolTree::total_queued() const { return root_->subtree_queued; }
 
 int PoolTree::total_running() const { return root_->running; }
 
-std::vector<std::string> PoolTree::LeafPools() const {
-  std::vector<std::string> leaves;
-  for (const std::string& name : creation_order_) {
-    const Pool* p = Find(name);
-    if (p != nullptr && p->children.empty()) leaves.push_back(name);
-  }
-  return leaves;
-}
-
 std::vector<PoolTree::PoolSnapshot> PoolTree::SnapshotPools() const {
   std::vector<PoolSnapshot> snapshots;
   for (const std::string& name : creation_order_) {

@@ -107,8 +107,6 @@ class PoolTree {
   int running(const std::string& pool) const;
   size_t total_queued() const;
   int total_running() const;
-  /// Leaf pools, in creation order.
-  std::vector<std::string> LeafPools() const;
   /// Snapshots of every leaf pool, in creation order.
   std::vector<PoolSnapshot> SnapshotPools() const;
 

@@ -113,6 +113,10 @@ class JobSim {
   double EntryBytes() const;
   double RecordsUntilMem(const Reducer& r, double bytes) const;
   void SampleMemory(const Reducer& r, double t, double bytes);
+  void Record(mr::Phase phase, int task_id, int node, double start,
+              double end) {
+    result_.events.push_back(mr::TaskEvent{phase, task_id, node, start, end});
+  }
 
   const cluster::ClusterSpec& cluster_;
   const SimJob& job_;
@@ -140,7 +144,6 @@ class JobSim {
   std::vector<Reducer> reducers_;
   int reducers_done_ = 0;
 
-  mr::Timeline timeline_;
   SimResult result_;
   bool failed_ = false;
 };
@@ -193,7 +196,6 @@ SimResult JobSim::Run() {
   StartReducers();
   sim_.Run();
 
-  result_.events = timeline_.Snapshot();
   if (failed_) {
     result_.completion_seconds = result_.failure_time;
   }
@@ -330,8 +332,7 @@ void JobSim::ActivateReducer(Reducer* r) {
 }
 
 void JobSim::OnMapDone(int m) {
-  timeline_.Record(mr::Phase::kMap, m, map_node_[m], map_start_[m],
-                   map_done_[m]);
+  Record(mr::Phase::kMap, m, map_node_[m], map_start_[m], map_done_[m]);
   for (auto& r : reducers_) {
     if (r.active) {
       r.fetch_queue.push_back(m);
@@ -378,8 +379,7 @@ void JobSim::OnSegmentFetched(Reducer* r, int m) {
 
 void JobSim::BarrierReduce(Reducer* r) {
   double barrier_time = sim_.Now();
-  timeline_.Record(mr::Phase::kShuffle, r->id, r->node, r->start_time,
-                   barrier_time);
+  Record(mr::Phase::kShuffle, r->id, r->node, r->start_time, barrier_time);
   // The merge buffer holds every record at the barrier (Fig. 2(b)).
   SampleMemory(*r, barrier_time,
                r->records_total * job_.partial_entry_bytes);
@@ -392,11 +392,9 @@ void JobSim::BarrierReduce(Reducer* r) {
   sim_.ScheduleAfter(sort_secs, [this, r, barrier_time, sort_secs,
                                  reduce_secs] {
     double sort_done = sim_.Now();
-    timeline_.Record(mr::Phase::kSortMerge, r->id, r->node, barrier_time,
-                     sort_done);
+    Record(mr::Phase::kSortMerge, r->id, r->node, barrier_time, sort_done);
     sim_.ScheduleAfter(reduce_secs, [this, r, sort_done] {
-      timeline_.Record(mr::Phase::kReduce, r->id, r->node, sort_done,
-                       sim_.Now());
+      Record(mr::Phase::kReduce, r->id, r->node, sort_done, sim_.Now());
       WriteOutputAndFinish(r, sim_.Now());
     });
     (void)sort_secs;
@@ -555,8 +553,8 @@ void JobSim::FinishBarrierless(Reducer* r) {
   double done_at = std::max(r->server_free_at, sim_.Now()) + finalize;
   sim_.ScheduleAt(done_at, [this, r] {
     if (failed_) return;
-    timeline_.Record(mr::Phase::kShuffleReduce, r->id, r->node,
-                     r->start_time, sim_.Now());
+    Record(mr::Phase::kShuffleReduce, r->id, r->node,
+           r->start_time, sim_.Now());
     SampleMemory(*r, sim_.Now(), 0);
     WriteOutputAndFinish(r, sim_.Now());
   });
@@ -572,7 +570,7 @@ void JobSim::WriteOutputAndFinish(Reducer* r, double start) {
   double duration = disk + network;
   sim_.ScheduleAfter(duration, [this, r, start] {
     if (failed_) return;
-    timeline_.Record(mr::Phase::kOutput, r->id, r->node, start, sim_.Now());
+    Record(mr::Phase::kOutput, r->id, r->node, start, sim_.Now());
     reduce_slots_[r->node]->Release();
     if (++reducers_done_ == job_.num_reducers) {
       result_.completion_seconds = sim_.Now();
@@ -605,16 +603,6 @@ mr::JobMetrics ToJobMetrics(const SimResult& result) {
         mr::MemorySample{s.t, s.reducer, static_cast<uint64_t>(s.bytes)});
   }
   return m;
-}
-
-double ImprovementPercent(const cluster::ClusterSpec& cluster, SimJob job) {
-  job.barrierless = false;
-  SimResult with = SimulateJob(cluster, job);
-  job.barrierless = true;
-  SimResult without = SimulateJob(cluster, job);
-  if (with.completion_seconds <= 0) return 0;
-  return (with.completion_seconds - without.completion_seconds) /
-         with.completion_seconds * 100.0;
 }
 
 }  // namespace bmr::simmr

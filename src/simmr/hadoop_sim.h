@@ -49,10 +49,6 @@ struct SimResult {
 /// (job.seed, cluster).
 SimResult SimulateJob(const cluster::ClusterSpec& cluster, const SimJob& job);
 
-/// Convenience: percentage improvement of barrier-less over barrier for
-/// the same job description ((with - without) / with * 100).
-double ImprovementPercent(const cluster::ClusterSpec& cluster, SimJob job);
-
 /// Project a SimResult onto the reporting schema shared with the real
 /// engine (mr::MetricsRegistry::Snapshot, the base of mr::JobResult),
 /// using the engine's counter names, so real and simulated runs print

@@ -307,18 +307,22 @@ TEST(FlowNetPropertyTest, MoreBytesNeverFinishEarlier) {
 }
 
 TEST(TimelineTest, RenderActivityCountsPhases) {
-  mr::Timeline timeline;
-  timeline.Record(mr::Phase::kMap, 0, 1, 0.0, 10.0);
-  timeline.Record(mr::Phase::kMap, 1, 2, 5.0, 15.0);
-  timeline.Record(mr::Phase::kReduce, 0, 1, 15.0, 20.0);
-  auto events = timeline.Snapshot();
-  EXPECT_EQ(mr::Timeline::ActiveAt(events, mr::Phase::kMap, 7.0), 2);
-  EXPECT_EQ(mr::Timeline::ActiveAt(events, mr::Phase::kMap, 12.0), 1);
-  EXPECT_EQ(mr::Timeline::ActiveAt(events, mr::Phase::kReduce, 16.0), 1);
-  EXPECT_EQ(mr::Timeline::ActiveAt(events, mr::Phase::kReduce, 7.0), 0);
-  std::string rendered = mr::Timeline::RenderActivity(events, 5.0);
-  EXPECT_NE(rendered.find("Map"), std::string::npos);
-  EXPECT_NE(rendered.find("Reduce"), std::string::npos);
+  const std::vector<mr::TaskEvent> events = {
+      {mr::Phase::kMap, 0, 1, 0.0, 10.0},
+      {mr::Phase::kMap, 1, 2, 5.0, 15.0},
+      {mr::Phase::kReduce, 0, 1, 15.0, 20.0},
+  };
+  EXPECT_EQ(mr::ActiveAt(events, mr::Phase::kMap, 7.0), 2);
+  EXPECT_EQ(mr::ActiveAt(events, mr::Phase::kMap, 12.0), 1);
+  EXPECT_EQ(mr::ActiveAt(events, mr::Phase::kReduce, 16.0), 1);
+  EXPECT_EQ(mr::ActiveAt(events, mr::Phase::kReduce, 7.0), 0);
+  EXPECT_EQ(mr::RenderActivity(events, 5.0),
+            "time\tMap\tReduce\n"
+            "0.0\t1\t0\n"
+            "5.0\t2\t0\n"
+            "10.0\t1\t0\n"
+            "15.0\t0\t1\n"
+            "20.0\t0\t0\n");
 }
 
 TEST(ScratchDirTest, CreatesAndCleansUp) {

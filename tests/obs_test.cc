@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "apps/registry.h"
+#include "apps/wordcount.h"
 #include "cluster/cluster.h"
 #include "faults/fault_injector.h"
 #include "mr/engine.h"
@@ -28,11 +29,11 @@
 #include "mr/obs_export.h"
 #include "mr/timeline.h"
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
 #include "obs/http_introspect.h"
 #include "obs/metric_names.h"
 #include "obs/trace.h"
 #include "obs/validate.h"
+#include "service/job_service.h"
 #include "simmr/hadoop_sim.h"
 #include "simmr/profiles.h"
 #include "test_util.h"
@@ -402,90 +403,66 @@ TEST(Exporters, PrometheusValidatorEnforcesNamingAndCoherence) {
                    .ok());
 }
 
-// ---- Flight recorder ---------------------------------------------------
+// ---- Flight dumps -----------------------------------------------------
 
-TEST(FlightRecorder, RecordsAndSnapshotsValidPerfettoJson) {
-  obs::FlightRecorder recorder(64);
-  recorder.RecordSpan("task.map", "task", /*arg=*/3, /*node=*/1, 0.002);
-  recorder.Note("map.relaunch", "recovery", 3, 2);
-  recorder.RecordCounter("inflight", 5);
-  EXPECT_EQ(recorder.size(), 3u);
-  EXPECT_EQ(recorder.overwritten(), 0u);
-
-  const std::string json = recorder.SnapshotJson(0);
-  Status st = obs::ValidatePerfettoJson(json, /*min_spans=*/2);
-  EXPECT_TRUE(st.ok()) << st << "\n" << json;
-  EXPECT_NE(json.find("task.map"), std::string::npos);
-  EXPECT_NE(json.find("map.relaunch"), std::string::npos);
-  EXPECT_NE(json.find("inflight"), std::string::npos);
-}
-
-TEST(FlightRecorder, RingBoundOverwritesOldestAndCounts) {
-  obs::FlightRecorder recorder(4);
-  for (int i = 0; i < 10; ++i) {
-    recorder.Note("event." + std::to_string(i), "test", i, -1);
+/// Perfetto events of `json` that count toward a flight view's budget:
+/// spans, counter samples and instants (metadata excluded).
+size_t CountTraceEvents(const std::string& json) {
+  size_t n = 0;
+  for (const char* ph : {"\"ph\":\"X\"", "\"ph\":\"C\"", "\"ph\":\"i\""}) {
+    for (size_t pos = json.find(ph); pos != std::string::npos;
+         pos = json.find(ph, pos + 1)) {
+      ++n;
+    }
   }
-  EXPECT_EQ(recorder.size(), 4u);
-  EXPECT_EQ(recorder.overwritten(), 6u);
-  const std::string json = recorder.SnapshotJson(0);
-  // The retained window is the most recent events.
-  EXPECT_EQ(json.find("event.5"), std::string::npos);
-  EXPECT_NE(json.find("event.6"), std::string::npos);
-  EXPECT_NE(json.find("event.9"), std::string::npos);
-  // last_n trims further from the recent end.
-  const std::string last = recorder.SnapshotJson(2);
-  EXPECT_EQ(last.find("event.7"), std::string::npos);
-  EXPECT_NE(last.find("event.8"), std::string::npos);
-  EXPECT_NE(last.find("event.9"), std::string::npos);
+  return n;
 }
 
-TEST(FlightRecorder, DumpTriggerIsStickyUntilTaken) {
-  obs::FlightRecorder recorder(16);
-  EXPECT_FALSE(recorder.dump_pending());
-  recorder.RequestDump("job.failure: reducer 2 tainted", /*arg=*/2);
-  recorder.RequestDump("fault.node_crash node=1", /*arg=*/1);
-  EXPECT_TRUE(recorder.dump_pending());
-  // The triggers are themselves events in the ring, under the category
-  // the chaos harness greps for.
-  EXPECT_NE(recorder.SnapshotJson(0).find(obs::kFlightTriggerCategory),
-            std::string::npos);
-  std::vector<std::string> reasons = recorder.TakeDumpReasons();
-  ASSERT_EQ(reasons.size(), 2u);
-  EXPECT_EQ(reasons[0], "job.failure: reducer 2 tainted");
-  EXPECT_FALSE(recorder.dump_pending());
-  EXPECT_TRUE(recorder.TakeDumpReasons().empty());
-}
+TEST(FlightDump, RequestStaysInTheRegistryThatMadeIt) {
+  mr::MetricsRegistry asked;
+  mr::MetricsRegistry other;
+  asked.RecordEvent(mr::Phase::kMap, 0, 1, 0.0, 0.1);
+  other.RecordEvent(mr::Phase::kMap, 0, 1, 0.0, 0.1);
+  asked.RequestDump("reduce.restart task=2: tainted");
 
-TEST(FlightRecorder, DumpToDirWritesValidatableArtifact) {
-  char tmpl[] = "/tmp/bmr_flight_test_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  obs::FlightRecorder recorder(16);
-  recorder.RecordSpan("task.reduce", "task", 2, 1, 0.001);
-  recorder.RequestDump("reduce.restart task=2: tainted", 2);
-  StatusOr<std::string> path = recorder.DumpToDir(tmpl);
-  ASSERT_TRUE(path.ok()) << path.status();
-  EXPECT_NE(path->find("flight_"), std::string::npos);
-
-  std::ifstream in(*path);
-  ASSERT_TRUE(in.is_open());
-  std::string json((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_TRUE(obs::ValidatePerfettoJson(json, /*min_spans=*/1).ok());
+  mr::JobMetrics a = asked.Snapshot();
+  mr::JobMetrics b = other.Snapshot();
+  EXPECT_EQ(a.dump_reasons,
+            std::vector<std::string>{"reduce.restart task=2: tainted"});
+  EXPECT_TRUE(b.dump_reasons.empty());
+  const std::string json = mr::FlightTraceJson(a, mr::kFlightEvents);
+  EXPECT_TRUE(obs::ValidatePerfettoJson(json, /*min_spans=*/1).ok()) << json;
   EXPECT_NE(json.find(obs::kFlightTriggerCategory), std::string::npos);
   EXPECT_NE(json.find("reduce.restart task=2"), std::string::npos);
-
-  // Unwritable target surfaces a Status, not a silent no-op.
-  EXPECT_FALSE(recorder.DumpToDir("/nonexistent/dir").ok());
-  std::remove(path->c_str());
-  rmdir(tmpl);
+  EXPECT_EQ(mr::FlightTraceJson(b, mr::kFlightEvents)
+                .find(obs::kFlightTriggerCategory),
+            std::string::npos);
 }
 
-TEST(FlightRecorder, GlobalIsAlwaysArmed) {
-  obs::FlightRecorder* global = obs::FlightRecorder::Global();
-  ASSERT_NE(global, nullptr);
-  EXPECT_EQ(global, obs::FlightRecorder::Global());
-  global->Note("test.global", "test", -1, -1);
-  EXPECT_GE(global->size(), 1u);
+TEST(FlightDump, ViewKeepsTheLastEventsAndEveryTrigger) {
+  mr::JobMetrics m;
+  for (int i = 0; i < 10; ++i) {
+    m.events.push_back({mr::Phase::kMap, i, 1, i * 0.1, i * 0.1 + 0.05});
+  }
+  m.events.push_back({mr::Phase::kRecovery, 3, 2, 0.95, 0.95});
+  m.memory_samples.push_back({0.02, 0, 100});
+  m.dump_reasons = {"fault.node_crash node=2"};
+  m.elapsed_seconds = 1.0;
+
+  const std::string all = mr::FlightTraceJson(m, 0);
+  EXPECT_EQ(CountTraceEvents(all), 13u);
+  const std::string last = mr::FlightTraceJson(m, 4);
+  Status st = obs::ValidatePerfettoJson(last, /*min_spans=*/1);
+  EXPECT_TRUE(st.ok()) << st << "\n" << last;
+  EXPECT_EQ(CountTraceEvents(last), 4u) << last;
+  // The trigger and the three latest task events survive the cut; the
+  // early map tasks and the heap sample do not.
+  EXPECT_NE(last.find("fault.node_crash node=2"), std::string::npos);
+  EXPECT_NE(last.find("\"name\":\"Recovery\""), std::string::npos);
+  EXPECT_NE(last.find("\"id\":9"), std::string::npos);
+  EXPECT_NE(last.find("\"id\":8"), std::string::npos);
+  EXPECT_EQ(last.find("\"id\":7"), std::string::npos);
+  EXPECT_EQ(last.find("heap_bytes_r0"), std::string::npos);
 }
 
 // ---- Live introspection HTTP server ------------------------------------
@@ -554,6 +531,53 @@ TEST(HttpIntrospect, SequentialScrapesAndCleanShutdown) {
   EXPECT_NE(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   ::close(fd);
+}
+
+// /trace?last=N serves the most recently finished job's own record:
+// a valid Perfetto document within the event budget, with that job's
+// task-phase spans.
+TEST(HttpIntrospect, JobServiceTraceServesTheLastFinishedJob) {
+  auto cluster = MakeTestCluster(/*slaves=*/2, /*block_bytes=*/8 << 10);
+  workload::TextGenOptions gen;
+  gen.total_bytes = 32 << 10;
+  gen.vocabulary = 200;
+  auto files = workload::GenerateZipfText(cluster.get(), "/trace-in", gen);
+  ASSERT_TRUE(files.ok()) << files.status();
+  service::JobService svc(cluster.get());
+  service::PoolConfig pool;
+  pool.name = "p";
+  ASSERT_TRUE(svc.AddPool(pool).ok());
+  ASSERT_TRUE(svc.ServeIntrospection(0).ok());
+  auto body = [&](const std::string& target) {
+    std::string response = HttpGet(svc.introspect_port(), target);
+    size_t start = response.find("\r\n\r\n");
+    return start == std::string::npos ? response : response.substr(start + 4);
+  };
+
+  // Nothing has finished yet: an empty, still valid document.
+  std::string json = body("/trace?last=50");
+  EXPECT_TRUE(obs::ValidatePerfettoJson(json).ok()) << json;
+  EXPECT_EQ(CountTraceEvents(json), 0u);
+
+  apps::AppOptions options;
+  options.input_files = *files;
+  options.output_path = "/trace-out";
+  options.num_reducers = 2;
+  auto ticket = svc.Submit("p", apps::MakeWordCountJob(options));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  service::JobOutcome outcome = svc.Wait(*ticket);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+  ASSERT_GT(outcome.result.events.size(), 4u);
+
+  for (size_t last : {4u, 50u}) {
+    json = body("/trace?last=" + std::to_string(last));
+    Status st = obs::ValidatePerfettoJson(json, /*min_spans=*/1);
+    EXPECT_TRUE(st.ok()) << st << "\n" << json;
+    EXPECT_LE(CountTraceEvents(json), last) << json;
+    EXPECT_NE(json.find("\"cat\":\"task\""), std::string::npos) << json;
+  }
+  json = body("/trace");
+  EXPECT_GE(CountTraceEvents(json), outcome.result.events.size());
 }
 
 // ---- Engine integration ------------------------------------------------
@@ -658,20 +682,16 @@ TEST(EngineTracing, HandlerSpansStitchUnderPropagatedParents) {
   EXPECT_TRUE(st.ok()) << st;
 }
 
-// Crash flight recorder, end to end: a node-crash fault mid-job marks
-// the global recorder, and the engine dumps a validatable post-mortem
-// artifact into obs.flight_dir at the job boundary.
-TEST(EngineTracing, NodeCrashLeavesValidatedFlightArtifact) {
-  char tmpl[] = "/tmp/bmr_flight_engine_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-
+/// A barrier-less wordcount that loses node 2 mid-job and recovers,
+/// with flight artifacts going to `flight_dir`.
+mr::JobResult RunCrashedWordCount(const std::string& flight_dir) {
   auto cluster = MakeTestCluster(/*slaves=*/4, /*block_bytes=*/8 << 10);
   workload::TextGenOptions gen;
   gen.total_bytes = 48 << 10;
   gen.vocabulary = 200;
   gen.seed = 77;
   auto files = workload::GenerateZipfText(cluster.get(), "/flight-in", gen);
-  ASSERT_TRUE(files.ok()) << files.status();
+  EXPECT_TRUE(files.ok()) << files.status();
 
   faults::FaultEvent crash;
   crash.kind = faults::FaultKind::kNodeCrash;
@@ -687,35 +707,117 @@ TEST(EngineTracing, NodeCrashLeavesValidatedFlightArtifact) {
   options.output_path = "/flight-out";
   options.num_reducers = 2;
   options.barrierless = true;
-  options.extra.Set("obs.flight_dir", tmpl);
+  options.extra.Set("obs.flight_dir", flight_dir);
   mr::JobRunner runner(cluster.get());
   mr::JobResult result =
       runner.Run(apps::FindApp("wordcount")->make_job(options));
   cluster->InstallFaultInjector(nullptr);
-  ASSERT_TRUE(result.ok()) << result.status;  // recovery still succeeds
-  ASSERT_EQ(injector.injected(faults::FaultKind::kNodeCrash), 1u);
-  EXPECT_EQ(result.flight_dumps, 1u);
+  EXPECT_EQ(injector.injected(faults::FaultKind::kNodeCrash), 1u);
+  return result;
+}
 
-  // Exactly the artifact the chaos harness validates: Perfetto JSON
-  // carrying the trigger event that names the crash.
-  DIR* d = opendir(tmpl);
-  ASSERT_NE(d, nullptr);
-  size_t artifacts = 0;
+/// The flight_* artifacts in `dir`, read and then removed with it.
+std::vector<std::string> TakeFlightArtifacts(const std::string& dir) {
+  std::vector<std::string> artifacts;
+  DIR* d = opendir(dir.c_str());
+  EXPECT_NE(d, nullptr) << dir;
+  if (d == nullptr) return artifacts;
   while (dirent* entry = readdir(d)) {
     std::string name = entry->d_name;
     if (name.find("flight_") != 0) continue;
-    ++artifacts;
-    std::ifstream in(std::string(tmpl) + "/" + name);
-    std::string json((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_TRUE(obs::ValidatePerfettoJson(json, /*min_spans=*/1).ok());
-    EXPECT_NE(json.find(obs::kFlightTriggerCategory), std::string::npos);
-    EXPECT_NE(json.find("fault.node_crash"), std::string::npos);
-    std::remove((std::string(tmpl) + "/" + name).c_str());
+    const std::string path = dir + "/" + name;
+    std::ifstream in(path);
+    artifacts.emplace_back(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
   }
   closedir(d);
-  EXPECT_EQ(artifacts, 1u);
-  rmdir(tmpl);
+  rmdir(dir.c_str());
+  return artifacts;
+}
+
+// Flight dump, end to end: a node-crash fault mid-job asks for a dump,
+// and the engine writes the job's own record, validated, into
+// obs.flight_dir at the job boundary.
+TEST(EngineTracing, NodeCrashLeavesValidatedFlightArtifact) {
+  char tmpl[] = "/tmp/bmr_flight_engine_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  mr::JobResult result = RunCrashedWordCount(tmpl);
+  ASSERT_TRUE(result.ok()) << result.status;  // recovery still succeeds
+  EXPECT_EQ(result.flight_dumps, 1u);
+
+  // Exactly the artifact the chaos harness validates: Perfetto JSON
+  // carrying the trigger that names the crash, over the crashed job's
+  // task lanes.
+  std::vector<std::string> artifacts = TakeFlightArtifacts(tmpl);
+  ASSERT_EQ(artifacts.size(), 1u);
+  const std::string& json = artifacts[0];
+  EXPECT_TRUE(obs::ValidatePerfettoJson(json, /*min_spans=*/1).ok());
+  EXPECT_NE(json.find(obs::kFlightTriggerCategory), std::string::npos);
+  EXPECT_NE(json.find("fault.node_crash"), std::string::npos);
+  for (mr::Phase phase : {mr::Phase::kMap, mr::Phase::kShuffleReduce,
+                          mr::Phase::kOutput}) {
+    EXPECT_NE(json.find(std::string("\"name\":\"") + mr::PhaseName(phase) +
+                        "\",\"cat\":\"task\""),
+              std::string::npos)
+        << mr::PhaseName(phase) << " task span missing";
+  }
+}
+
+TEST(EngineTracing, UnwritableFlightDirLeavesTheJobOk) {
+  mr::JobResult result = RunCrashedWordCount("/nonexistent/bmr-flight");
+  ASSERT_TRUE(result.ok()) << result.status;
+  EXPECT_FALSE(result.dump_reasons.empty());
+  EXPECT_EQ(result.flight_dumps, 0u);
+}
+
+// Two jobs at once on one service: the one that fails writes and counts
+// its dump; the one beside it sees no trigger and writes nothing.
+TEST(EngineTracing, FlightDumpsStayWithTheJobThatAskedForThem) {
+  char failing_dir[] = "/tmp/bmr_flight_fail_XXXXXX";
+  char healthy_dir[] = "/tmp/bmr_flight_ok_XXXXXX";
+  ASSERT_NE(mkdtemp(failing_dir), nullptr);
+  ASSERT_NE(mkdtemp(healthy_dir), nullptr);
+  auto cluster = MakeTestCluster(/*slaves=*/2);
+  workload::TextGenOptions gen;
+  gen.total_bytes = 64 << 10;
+  gen.vocabulary = 5000;
+  auto files = workload::GenerateZipfText(cluster.get(), "/iso-in", gen);
+  ASSERT_TRUE(files.ok()) << files.status();
+
+  service::JobService svc(cluster.get());
+  service::PoolConfig pool;
+  pool.name = "p";
+  ASSERT_TRUE(svc.AddPool(pool).ok());
+  apps::AppOptions failing;
+  failing.input_files = *files;
+  failing.output_path = "/iso-fail";
+  failing.num_reducers = 2;
+  failing.barrierless = true;
+  failing.store.heap_limit_bytes = 2048;  // partial results cannot fit
+  failing.extra.Set("obs.flight_dir", failing_dir);
+  apps::AppOptions healthy = failing;
+  healthy.output_path = "/iso-ok";
+  healthy.store.heap_limit_bytes = 0;
+  healthy.extra.Set("obs.flight_dir", healthy_dir);
+  auto fail_ticket = svc.Submit("p", apps::MakeWordCountJob(failing));
+  auto ok_ticket = svc.Submit("p", apps::MakeWordCountJob(healthy));
+  ASSERT_TRUE(fail_ticket.ok() && ok_ticket.ok());
+  service::JobOutcome failed = svc.Wait(*fail_ticket);
+  service::JobOutcome passed = svc.Wait(*ok_ticket);
+
+  ASSERT_FALSE(failed.status.ok());
+  ASSERT_TRUE(passed.status.ok()) << passed.status;
+  EXPECT_EQ(failed.result.flight_dumps, 1u);
+  ASSERT_EQ(failed.result.dump_reasons.size(), 1u);
+  EXPECT_EQ(failed.result.dump_reasons[0].rfind("job.failure: ", 0), 0u);
+  EXPECT_TRUE(passed.result.dump_reasons.empty());
+  EXPECT_EQ(passed.result.flight_dumps, 0u);
+  EXPECT_EQ(obs::PrometheusText(mr::BuildMetricsSnapshot(passed.result))
+                .find(obs::kPromObsFlightDumps),
+            std::string::npos);
+  EXPECT_EQ(TakeFlightArtifacts(failing_dir).size(), 1u);
+  EXPECT_TRUE(TakeFlightArtifacts(healthy_dir).empty());
 }
 
 TEST(EngineTracing, UntracedRunCarriesNoTraceState) {
@@ -808,7 +910,7 @@ TEST(GoldenText, RenderActivityIsStable) {
   events.push_back({mr::Phase::kMap, 0, 1, 0.0, 0.2});
   events.push_back({mr::Phase::kReduce, 1, 2, 0.1, 0.3});
 
-  EXPECT_EQ(mr::Timeline::RenderActivity(events, /*step=*/0.1),
+  EXPECT_EQ(mr::RenderActivity(events, /*step=*/0.1),
             "time\tMap\tReduce\n"
             "0.0\t1\t0\n"
             "0.1\t1\t1\n"

@@ -49,8 +49,8 @@ TEST(SimMechanicsTest, MapWavesMatchSlotCapacity) {
   int max_active = 0;
   for (const auto& e : result.events) {
     if (e.phase != mr::Phase::kMap) continue;
-    int active = mr::Timeline::ActiveAt(result.events, mr::Phase::kMap,
-                                        (e.start + e.end) / 2);
+    int active = mr::ActiveAt(result.events, mr::Phase::kMap,
+                              (e.start + e.end) / 2);
     max_active = std::max(max_active, active);
   }
   EXPECT_LE(max_active, PaperCluster().total_map_slots());

@@ -9,12 +9,13 @@
 //   bmr_trace --stragglers   # per-task skew + wire/handler RTT split
 //   bmr_trace --serve=20     # job service + live introspection HTTP
 //   bmr_trace --validate-trace=F / --validate-prom=F / --validate-json=F
-//   bmr_trace --validate-flight=DIR   # flight-recorder artifacts
+//   bmr_trace --validate-flight=DIR   # flight-dump artifacts
 //
 // Open the JSON at https://ui.perfetto.dev (or chrome://tracing); see
 // docs/GUIDE.md §10 for the span taxonomy and §15 for the distributed
-// tracing / introspection / flight-recorder model.
+// tracing / introspection / flight-dump model.
 #include <dirent.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -34,7 +35,6 @@
 #include "mr/engine.h"
 #include "mr/obs_export.h"
 #include "mr/timeline.h"
-#include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 #include "obs/validate.h"
 #include "service/job_service.h"
@@ -262,8 +262,7 @@ int EmitArtifacts(const mr::JobMetrics& metrics, const CliOptions& cli,
               cli.trace_out.c_str(), label, cli.prom_out.c_str());
   if (cli.report) {
     std::fputs(mr::FormatJobMetrics(label, metrics).c_str(), stdout);
-    std::fputs(mr::Timeline::RenderActivity(metrics.events, /*step=*/0.01)
-                   .c_str(),
+    std::fputs(mr::RenderActivity(metrics.events, /*step=*/0.01).c_str(),
                stdout);
     if (metrics.trace_enabled) {
       std::printf("[%s] spans dropped at central cap: %llu\n", label,
@@ -272,6 +271,54 @@ int EmitArtifacts(const mr::JobMetrics& metrics, const CliOptions& cli,
   }
   if (cli.stragglers) PrintStragglerReport(metrics);
   return 0;
+}
+
+StatusOr<std::string> ReadFileText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// The --validate-flight check: every *.json artifact in `dir` must be
+/// a valid Perfetto document carrying its dump-trigger instant and the
+/// job's task-phase spans, and there must be at least one (a faulted
+/// run that dumped nothing is a flight-dump regression, not a pass).
+Status ValidateFlightDir(const std::string& dir, size_t* artifacts) {
+  DIR* d = opendir(dir.c_str());
+  if (d == nullptr) return Status::NotFound("cannot open directory " + dir);
+  Status st;
+  *artifacts = 0;
+  while (dirent* entry = readdir(d)) {
+    std::string name = entry->d_name;
+    if (name.size() < 5 || name.compare(name.size() - 5, 5, ".json") != 0) {
+      continue;
+    }
+    const std::string path = dir + "/" + name;
+    StatusOr<std::string> text = ReadFileText(path);
+    st = text.status();
+    if (st.ok()) st = obs::ValidatePerfettoJson(*text, /*min_spans=*/1);
+    if (st.ok() &&
+        text->find(obs::kFlightTriggerCategory) == std::string::npos) {
+      st = Status::InvalidArgument(
+          std::string("no ") + obs::kFlightTriggerCategory +
+          " event (dump without a recorded trigger)");
+    }
+    if (st.ok() && text->find("\"cat\":\"task\"") == std::string::npos) {
+      st = Status::InvalidArgument("no task-phase span");
+    }
+    if (!st.ok()) {
+      st = Status::InvalidArgument(path + ": " + st.message());
+      break;
+    }
+    ++*artifacts;
+  }
+  closedir(d);
+  if (st.ok() && *artifacts == 0) {
+    st = Status::NotFound("no flight artifacts in " + dir);
+  }
+  return st;
 }
 
 /// The check.sh obs leg: run a traced wordcount and a simulated run
@@ -363,20 +410,19 @@ int RunCheck(CliOptions cli) {
                 " spans on a small run");
   }
 
-  // Flight recorder: the run above recorded task-phase events into the
-  // always-armed ring; a requested dump must validate and carry the
-  // trigger event.
+  // Flight dump: the run above's own record, with a synthetic trigger,
+  // written to a temp dir and checked by the --validate-flight code.
   {
-    obs::FlightRecorder* recorder = obs::FlightRecorder::Global();
-    if (recorder->size() == 0) return fail("flight ring empty after a run");
-    recorder->RequestDump("check.synthetic_trigger", /*arg=*/-1);
-    const std::string flight_json = recorder->SnapshotJson(0);
-    st = obs::ValidatePerfettoJson(flight_json, /*min_spans=*/1);
-    if (!st.ok()) return fail("flight snapshot: " + st.ToString());
-    if (flight_json.find(obs::kFlightTriggerCategory) == std::string::npos) {
-      return fail("flight snapshot lost the trigger event");
-    }
-    (void)recorder->TakeDumpReasons();  // leave no sticky trigger behind
+    mr::JobMetrics flight = *metrics;
+    flight.dump_reasons.push_back("check.synthetic_trigger");
+    char dir[] = "/tmp/bmr_trace_flight_XXXXXX";
+    if (mkdtemp(dir) == nullptr) return fail("cannot create a flight dir");
+    StatusOr<std::string> path = mr::WriteFlightArtifact(flight, dir);
+    size_t artifacts = 0;
+    st = path.ok() ? ValidateFlightDir(dir, &artifacts) : path.status();
+    if (path.ok()) std::remove(path->c_str());
+    rmdir(dir);
+    if (!st.ok()) return fail("flight dump: " + st.ToString());
   }
 
   // Same pipeline on a simulated run (no tracer — task-event lanes).
@@ -525,17 +571,9 @@ int RunServe(const CliOptions& cli) {
   return 0;
 }
 
-StatusOr<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 /// File-based validation modes: re-run the structural validators over
-/// artifacts scraped off a live server or dumped by the flight
-/// recorder, from a separate process (check.sh / chaos.sh).
+/// artifacts scraped off a live server or dumped at a job's end, from
+/// a separate process (check.sh / chaos.sh).
 int RunValidateFile(const std::string& path, const char* kind) {
   StatusOr<std::string> text = ReadFileText(path);
   Status st = text.status();
@@ -557,44 +595,15 @@ int RunValidateFile(const std::string& path, const char* kind) {
   return 0;
 }
 
-/// --validate-flight=DIR: every flight_*.json artifact in DIR must be
-/// a valid Perfetto document carrying its dump-trigger event, and
-/// there must be at least one (a faulted run that dumped nothing is a
-/// flight-recorder regression, not a pass).
+/// --validate-flight=DIR: ValidateFlightDir as a command.
 int RunValidateFlight(const std::string& dir) {
-  auto fail = [&](const std::string& what) {
-    std::fprintf(stderr, "bmr_trace --validate-flight FAILED: %s\n",
-                 what.c_str());
-    return 1;
-  };
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return fail("cannot open directory " + dir);
   size_t artifacts = 0;
-  while (dirent* entry = readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.size() < 5 || name.compare(name.size() - 5, 5, ".json") != 0) {
-      continue;
-    }
-    const std::string path = dir + "/" + name;
-    StatusOr<std::string> text = ReadFileText(path);
-    if (!text.ok()) {
-      closedir(d);
-      return fail(text.status().ToString());
-    }
-    Status st = obs::ValidatePerfettoJson(*text, /*min_spans=*/1);
-    if (!st.ok()) {
-      closedir(d);
-      return fail(path + ": " + st.ToString());
-    }
-    if (text->find(obs::kFlightTriggerCategory) == std::string::npos) {
-      closedir(d);
-      return fail(path + ": no " + std::string(obs::kFlightTriggerCategory) +
-                  " event (dump without a recorded trigger)");
-    }
-    ++artifacts;
+  Status st = ValidateFlightDir(dir, &artifacts);
+  if (!st.ok()) {
+    std::fprintf(stderr, "bmr_trace --validate-flight FAILED: %s\n",
+                 st.ToString().c_str());
+    return 1;
   }
-  closedir(d);
-  if (artifacts == 0) return fail("no flight artifacts in " + dir);
   std::printf("bmr_trace --validate-flight OK: %zu artifact%s in %s\n",
               artifacts, artifacts == 1 ? "" : "s", dir.c_str());
   return 0;
