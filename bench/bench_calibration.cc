@@ -1,7 +1,8 @@
 // Cost-model calibration: per-record costs of the real engine's hot
 // paths on THIS machine, shown against the simulator's profile
 // constants.  Absolute values differ from 2010-era JVMs; the *ratios*
-// (red-black fold vs merge+reduce) are what the figure shapes rely on.
+// (store fold + finalize vs merge+reduce) are what the figure shapes
+// rely on.
 #include <cstdio>
 
 #include "common/table.h"
@@ -23,8 +24,8 @@ int main() {
                                      /*seed=*/2);
 
   TextTable table({"workload", "merge us/rec", "grouped-reduce us/rec",
-                   "incremental us/rec", "finalize us/key",
-                   "fold/merge ratio"});
+                   "fold+finalize us/rec", "finalize us/key",
+                   "barrier-less/barrier"});
   auto row = [&table](const MicroCosts& c) {
     double barrier = c.merge_secs_per_record + c.grouped_reduce_secs_per_record;
     table.AddRow(
@@ -42,9 +43,10 @@ int main() {
 
   std::printf(
       "\nInterpretation:\n"
-      " - 'sort' (unique keys, O(records) tree) folds several times\n"
-      "   slower per record than the streaming merge — the mechanism\n"
-      "   behind the Fig. 6(a) slowdown.  Profile uses %.1fx.\n"
+      " - 'sort' (unique keys, O(records) hashed partials, sorted in\n"
+      "   finalize) costs several times more per record than the\n"
+      "   streaming merge — the mechanism behind the Fig. 6(a)\n"
+      "   slowdown.  Profile uses %.1fx.\n"
       " - 'aggregation' (Zipf keys) folds cheaply relative to the\n"
       "   barrier's merge+reduce, so pipelining wins.  Profile uses\n"
       "   %.1fx.\n",

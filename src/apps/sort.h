@@ -4,9 +4,11 @@
 // barrier the job is Identity code: the framework's shuffle merge-sort
 // does all the work (range partitioning makes the concatenated part
 // files globally sorted).  Without a barrier, the Reduce function must
-// sort itself: a red-black tree keyed by value with a duplicate count
-// as the partial result — the degenerate case where barrier-less
-// MapReduce is a little *slower* (RB insert loses to merge sort).
+// sort itself: the paper keeps a red-black tree keyed by value with a
+// duplicate count as the partial result — the degenerate case where
+// barrier-less MapReduce is a little *slower* (RB insert loses to merge
+// sort).  Here the partial store folds through a hash index, so the
+// O(n log n) sort lands in finalize, when the store emits in key order.
 #pragma once
 
 #include "apps/app.h"

@@ -48,10 +48,11 @@ Status BarrierlessDriver::Consume(Slice key, Slice value,
   if (finalized_) {
     return Status::FailedPrecondition("Consume after Finalize");
   }
-  // Sampled (1 in 16) per-op latency: the fold runs per record, so
-  // timing every one would distort the path it measures.
+  // Sampled (1 in 32) per-op latency: a sample costs four clock reads
+  // and two histogram adds, and 1 in 32 keeps that under a tenth of
+  // the hashed fold it measures.
   obs::Tracer* sampled =
-      (tracer_ != nullptr && (records_consumed_ & 15) == 0) ? tracer_
+      (tracer_ != nullptr && (records_consumed_ & 31) == 0) ? tracer_
                                                             : nullptr;
   ++records_consumed_;
   if (!store_) {

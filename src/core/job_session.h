@@ -14,7 +14,7 @@
 // same number of reducers, partitioner, and key ordering across runs.
 #pragma once
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -48,7 +48,8 @@ class JobSession {
 
  private:
   mutable Mutex mu_;
-  std::map<int, std::vector<mr::Record>> partials_ BMR_GUARDED_BY(mu_);
+  std::unordered_map<int, std::vector<mr::Record>> partials_
+      BMR_GUARDED_BY(mu_);
 };
 
 }  // namespace bmr::core

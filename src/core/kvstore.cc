@@ -12,8 +12,7 @@ namespace bmr::core {
 KvStoreBackend::KvStoreBackend(const StoreConfig& config)
     : config_(config),
       scratch_(config.scratch_dir),
-      log_path_(scratch_.FilePath("kvlog")),
-      index_(KeyLess{config.key_cmp}) {
+      log_path_(scratch_.FilePath("kvlog")) {
   // A failed open is surfaced by CheckLog() on the first log access —
   // constructors can't return Status.
   log_ = std::fopen(log_path_.c_str(), "w+b");
@@ -66,7 +65,6 @@ Status KvStoreBackend::ReadFromLog(const DiskLocation& loc,
     return Status::Internal("kv log short read");
   }
   ++stats_.disk_reads;
-  stats_.disk_read_bytes += loc.length;
   return Status::Ok();
 }
 
@@ -125,7 +123,8 @@ Status KvStoreBackend::Fold(Slice key, Slice value,
 }
 
 Status KvStoreBackend::ScanAll(const EmitFn& fn) {
-  for (const auto& [key, loc] : index_) {
+  for (auto entry : SortedByKey(index_, KeyLess{config_.key_cmp})) {
+    const auto& [key, loc] = *entry;
     auto hit = cache_index_.find(key);
     if (hit != cache_index_.end()) {
       fn(Slice(key), Slice(hit->second->value));

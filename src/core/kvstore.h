@@ -13,11 +13,10 @@
 
 #include <cstdio>
 #include <list>
-#include <map>
 #include <string>
 #include <unordered_map>
 
-#include "core/ordered_map.h"
+#include "core/key_index.h"
 #include "core/partial_store.h"
 #include "core/scratch_dir.h"
 
@@ -73,10 +72,9 @@ class KvStoreBackend final : public PartialStore {
       cache_index_;
   uint64_t cache_bytes_ = 0;
 
-  /// Ordered key directory: key → latest on-disk location (if any).
-  /// The ordering gives the final merged iteration for free (BDB's
-  /// B-tree keeps keys sorted the same way).
-  std::map<std::string, DiskLocation, KeyLess> index_;
+  /// Key directory: key → latest on-disk location (if any).  Hashed
+  /// like the cache; ScanAll sorts a view of it for ordered emission.
+  std::unordered_map<std::string, DiskLocation, SliceHash, SliceEq> index_;
 
   uint64_t cache_misses_ = 0;
   uint64_t evictions_ = 0;

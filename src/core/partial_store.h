@@ -4,10 +4,10 @@
 // depending on the Reduce class (Table 1); for large inputs the reducer
 // heap overflows, so storage is pluggable:
 //
-//   kInMemory   — §3.2: an ordered memtable (the paper's TreeMap) that
-//                 fails with RESOURCE_EXHAUSTED at the heap cap
-//                 (reproduces the Fig. 5(a) OOM).  It is the
-//                 kSpillMerge store with spilling switched off.
+//   kInMemory   — §3.2: a memtable (the paper's TreeMap, here hashed
+//                 and sorted at emission) that fails with
+//                 RESOURCE_EXHAUSTED at the heap cap (reproduces the
+//                 Fig. 5(a) OOM).  It is kSpillMerge, never spilling.
 //   kSpillMerge — §5.1: on reaching a threshold, partial results are
 //                 sorted and moved to a local spill file; a final k-way
 //                 merge combines per-key fragments with the app's merge
@@ -61,7 +61,8 @@ struct StoreConfig {
   std::string scratch_dir;
   /// kKvStore: LRU cache capacity in bytes.
   uint64_t kv_cache_bytes = 64ull << 20;
-  /// Key ordering used for final emission and spill sorting.
+  /// Key ordering for final emission and spill sorting.  It only orders:
+  /// key identity is byte equality, so it returns 0 only for equal bytes.
   mr::KeyCompareFn key_cmp;  // defaults to bytewise when null
   /// Optional fault injector consulted on every spill-file write/read
   /// (chaos testing).  Not owned; null = no injection.
@@ -71,11 +72,11 @@ struct StoreConfig {
   obs::Tracer* tracer = nullptr;
 };
 
-/// Estimated in-memory footprint of one (key, partial) entry.  Mirrors
-/// the JVM-era accounting the paper's heap plots reflect: payload plus
-/// a per-entry object/tree-node overhead.
+/// Estimated in-memory footprint of one (key, partial) entry: the
+/// paper's JVM-era accounting (payload plus a TreeMap entry and object
+/// headers), not this process's container cost.
 inline uint64_t EntryFootprint(size_t key_size, size_t value_size) {
-  constexpr uint64_t kPerEntryOverhead = 64;  // tree node + object headers
+  constexpr uint64_t kPerEntryOverhead = 64;  // JVM TreeMap.Entry + headers
   return key_size + value_size + kPerEntryOverhead;
 }
 
@@ -87,7 +88,6 @@ struct StoreStats {
   uint64_t spilled_bytes = 0;
   /// Records read back from disk: KV log page-ins, spill-run records.
   uint64_t disk_reads = 0;
-  uint64_t disk_read_bytes = 0;
   /// Largest in-memory footprint seen; a fold rejected at the heap cap
   /// does not move it.
   uint64_t peak_memory_bytes = 0;

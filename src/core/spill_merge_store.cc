@@ -10,7 +10,7 @@
 namespace bmr::core {
 
 SpillMergeStore::SpillMergeStore(const StoreConfig& config)
-    : config_(config), memtable_(KeyLess{config.key_cmp}) {}
+    : config_(config), key_less_{config.key_cmp} {}
 
 Status SpillMergeStore::Fold(Slice key, Slice value,
                              IncrementalReducer* reducer,
@@ -19,8 +19,8 @@ Status SpillMergeStore::Fold(Slice key, Slice value,
   // Only the memtable is consulted: spilled fragments stay on disk and
   // are reconciled in the merge phase.  A key that was spilled restarts
   // from InitPartial, exactly as in the paper's scheme.
-  auto it = memtable_.lower_bound(key);  // transparent: no key copy
-  bool exists = it != memtable_.end() && !memtable_.key_comp()(key, it->first);
+  auto it = memtable_.find(key);  // transparent: no key copy
+  bool exists = it != memtable_.end();
   if (exists) {
     fold_scratch_.assign(it->second);
   } else {
@@ -42,7 +42,7 @@ Status SpillMergeStore::Fold(Slice key, Slice value,
   }
 
   if (!exists) {
-    it = memtable_.emplace_hint(it, key.ToString(), std::string());
+    it = memtable_.emplace(key.ToString(), std::string()).first;
     ++approx_keys_;
   }
   // Swap rather than copy: the old partial's buffer becomes the next
@@ -69,8 +69,9 @@ Status SpillMergeStore::SpillNow() {
       scratch_->FilePath("spill_" + std::to_string(spill_paths_.size()));
   SpillFileWriter writer(path, config_.fault_injector);
   BMR_RETURN_IF_ERROR(writer.Open());
-  for (const auto& [key, partial] : memtable_) {
-    BMR_RETURN_IF_ERROR(writer.Append(Slice(key), Slice(partial)));
+  for (auto entry : SortedByKey(memtable_, key_less_)) {
+    BMR_RETURN_IF_ERROR(
+        writer.Append(Slice(entry->first), Slice(entry->second)));
   }
   BMR_RETURN_IF_ERROR(writer.Close());
   spill_paths_.push_back(path);
@@ -82,7 +83,7 @@ Status SpillMergeStore::SpillNow() {
 }
 
 Status SpillMergeStore::ForEachMerged(const MergeFn& merge, const EmitFn& fn) {
-  BMR_RETURN_IF_ERROR(MergeScan(merge, fn));
+  BMR_RETURN_IF_ERROR(MergeScan(merge, fn, /*drain=*/true));
   memtable_.clear();
   memory_bytes_ = 0;
   approx_keys_ = 0;
@@ -92,36 +93,31 @@ Status SpillMergeStore::ForEachMerged(const MergeFn& merge, const EmitFn& fn) {
 Status SpillMergeStore::ForEachCurrent(const MergeFn& merge,
                                        const EmitFn& fn) const {
   // Logically const: the scan re-opens the spill files read-only and
-  // walks the memtable; only statistics counters move.
-  return const_cast<SpillMergeStore*>(this)->MergeScan(merge, fn);
+  // copies the memtable; only statistics counters move.
+  return const_cast<SpillMergeStore*>(this)->MergeScan(merge, fn, false);
 }
 
-Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
-  // Nothing spilled: the memtable is the only run, already one fragment
-  // per key in key order.
+Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn,
+                                  bool drain) {
+  auto sorted = SortedByKey(memtable_, key_less_);
+  // Nothing spilled: the sorted memtable is the only run.
   if (spill_paths_.empty()) {
-    for (const auto& [key, partial] : memtable_) {
-      fn(Slice(key), Slice(partial));
-    }
+    for (auto entry : sorted) fn(Slice(entry->first), Slice(entry->second));
     return Status::Ok();
   }
-  // Merge heads: every spill file plus the live memtable, all already
-  // in key order.  Standard loser-tree-free k-way merge over a heap.
+  // Merge heads: every spill file plus the sorted memtable, all in key
+  // order.  Standard loser-tree-free k-way merge over a heap.
   struct Head {
     std::string key;
     std::string value;
     size_t source;  // spill index, or spills.size() for the memtable
   };
-  mr::KeyCompareFn cmp = config_.key_cmp;
-  auto key_less = [&cmp](const Slice a, const Slice b) {
-    return cmp ? cmp(a, b) < 0 : a.view() < b.view();
-  };
   // Heap orders by (key asc, source asc) — source order keeps the merge
   // fold deterministic (spill order, then memtable), matching the order
   // in which the fragments were produced.
-  auto head_greater = [&key_less](const Head& a, const Head& b) {
-    if (key_less(Slice(a.key), Slice(b.key))) return false;
-    if (key_less(Slice(b.key), Slice(a.key))) return true;
+  auto head_greater = [this](const Head& a, const Head& b) {
+    if (key_less_(Slice(a.key), Slice(b.key))) return false;
+    if (key_less_(Slice(b.key), Slice(a.key))) return true;
     return a.source > b.source;
   };
   // A plain vector under push_heap/pop_heap, so the popped head can be
@@ -145,7 +141,6 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
     bool has;
     BMR_RETURN_IF_ERROR(readers[idx]->Next(&h.key, &h.value, &has));
     if (has) {
-      stats_.disk_read_bytes += h.key.size() + h.value.size();
       ++stats_.disk_reads;
       push_head(std::move(h));
     }
@@ -154,12 +149,16 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
   for (size_t i = 0; i < readers.size(); ++i) {
     BMR_RETURN_IF_ERROR(advance_reader(i));
   }
-  auto memtable_it = memtable_.begin();
+  size_t next_entry = 0;
   auto push_memtable_head = [&] {
-    if (memtable_it != memtable_.end()) {
-      push_head(Head{memtable_it->first, memtable_it->second,
+    if (next_entry == sorted.size()) return;
+    auto entry = sorted[next_entry++];
+    if (drain) {  // extracting one entry leaves the other iterators valid
+      auto node = memtable_.extract(entry);
+      push_head(Head{std::move(node.key()), std::move(node.mapped()),
                      spill_paths_.size()});
-      ++memtable_it;
+    } else {
+      push_head(Head{entry->first, entry->second, spill_paths_.size()});
     }
   };
   push_memtable_head();
@@ -181,9 +180,7 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
     } else {
       push_memtable_head();
     }
-    bool same_key = have_current && !key_less(Slice(current_key), Slice(h.key)) &&
-                    !key_less(Slice(h.key), Slice(current_key));
-    if (same_key) {
+    if (have_current && current_key == h.key) {  // identity is byte equality
       current_partial =
           merge ? merge(Slice(h.key), Slice(current_partial), Slice(h.value))
                 : std::move(h.value);

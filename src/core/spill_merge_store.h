@@ -1,24 +1,25 @@
-// Ordered-memtable partial-result store: the in-memory baseline of
-// Section 3.2 and the disk spill-and-merge scheme of Section 5.1.
+// Hash-indexed memtable partial-result store: the in-memory baseline
+// of Section 3.2 and the disk spill-and-merge scheme of Section 5.1.
 //
-// Partial results accumulate in an ordered memtable; when the estimated
-// footprint reaches the threshold, the whole memtable is written — in
-// key order — to a new local spill file and memory is released.  A key
-// may therefore have fragments in several spill files plus the live
-// memtable; the final pass k-way merges all runs and folds fragments of
-// equal keys together with the application's merge function (which the
-// paper notes is usually the same as its combiner).
+// Partial results accumulate in a memtable hashed by key; at the
+// footprint threshold it is sorted into a new local spill file and
+// memory is released.  A key may thus have fragments in several spill
+// files plus the memtable; the final pass sorts the memtable, k-way
+// merges it with every run and folds equal keys' fragments with the
+// application's merge function (usually its combiner, as the paper
+// notes).
 //
 // StoreType::kInMemory is this store with spilling switched off by the
-// factory: the memtable is the paper's TreeMap, and the heap cap is what
-// kills the job in Fig. 5(a).  Until the first spill the store touches
-// no filesystem and its scans walk the memtable directly.
+// factory: the memtable stands in for the paper's TreeMap, and the
+// heap cap is what kills the job in Fig. 5(a).  Until the first spill
+// the store touches no filesystem.
 #pragma once
 
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
-#include "core/ordered_map.h"
+#include "core/key_index.h"
 #include "core/partial_store.h"
 #include "core/scratch_dir.h"
 
@@ -42,15 +43,17 @@ class SpillMergeStore final : public PartialStore {
   [[nodiscard]] Status SpillNow();
 
  private:
-  /// Shared k-way merge over spill files + memtable; leaves all state
-  /// intact (callers clear separately when draining).
-  [[nodiscard]] Status MergeScan(const MergeFn& merge, const EmitFn& fn);
+  /// Shared k-way merge over spill files + memtable.  `drain` moves
+  /// memtable entries out (the caller then clears the store).
+  [[nodiscard]] Status MergeScan(const MergeFn& merge, const EmitFn& fn,
+                                 bool drain);
 
   StoreConfig config_;
   /// Created by the first spill, so a store that never spills never
   /// touches the filesystem.
   std::optional<ScratchDir> scratch_;
-  OrderedPartialMap memtable_;
+  KeyLess key_less_;
+  std::unordered_map<std::string, std::string, SliceHash, SliceEq> memtable_;
   uint64_t memory_bytes_ = 0;
   /// Upper bound on distinct keys (over-counts keys split across
   /// spills); exact count requires the merge pass.

@@ -6,8 +6,10 @@
 // The measured machine differs from the paper's 2010-era Xeons, so the
 // *absolute* constants in profiles.cc are period-calibrated; this
 // module verifies the *ratios* that drive every result shape (e.g.
-// red-black insert slower than merge per record — the Fig. 6(a)
-// mechanism).
+// barrier-less Sort costing more per record than the merge — the
+// Fig. 6(a) mechanism).  The paper's TreeMap pays for key order on
+// every insert; the real store folds through a hash index and sorts its
+// keys in finalize, so the barrier-less cost counts both.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +28,11 @@ struct MicroCosts {
   double merge_secs_per_record = 0;
   /// Barrier path: grouped reduce function application, per record.
   double grouped_reduce_secs_per_record = 0;
-  /// Barrier-less path: store get + fold + put, per record.
+  /// Barrier-less path: every store fold plus the final ordered
+  /// emission (where the key sort is paid), per record.
   double incremental_secs_per_record = 0;
-  /// Barrier-less path: final ordered emission, per distinct key.
+  /// Barrier-less path: final ordered emission (the key sort included),
+  /// per distinct key.
   double finalize_secs_per_key = 0;
 };
 
@@ -41,7 +45,7 @@ MicroCosts MeasureAggregationCosts(uint64_t records, uint64_t distinct,
                                        core::StoreType::kInMemory);
 
 /// Measure Sort-shaped costs: unique-ish keys, count partials — the
-/// degenerate case where the red-black path loses to the merge.
+/// degenerate case where the barrier-less path loses to the merge.
 MicroCosts MeasureSortCosts(uint64_t records, int runs, uint64_t seed);
 
 }  // namespace bmr::simmr

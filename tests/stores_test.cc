@@ -3,6 +3,7 @@
 // through the single PartialStore::Fold entry point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -273,6 +274,67 @@ TEST(SpillMergeStoreTest, ExplicitSpillRestartsFromInitPartial) {
   EXPECT_EQ(result["k"], 7);
 }
 
+TEST(SpillMergeStoreTest, CustomComparatorAcrossSpills) {
+  StoreConfig config;
+  config.type = StoreType::kSpillMerge;
+  config.key_cmp = [](Slice a, Slice b) { return b.Compare(a); };
+  config.spill_threshold_bytes = 2048;
+  SpillMergeStore store(config);
+  auto keys = RandomKeys(3000, 11, 120);
+  CountReducer reducer;
+  ASSERT_TRUE(FoldAll(&store, &reducer, keys).ok());
+  EXPECT_GE(store.stats().spills, 3u);
+  std::vector<std::pair<std::string, int64_t>> out;
+  ASSERT_TRUE(store
+                  .ForEachMerged(
+                      [&reducer](Slice key, Slice a, Slice b) {
+                        return reducer.MergePartials(key, a, b);
+                      },
+                      [&out](Slice k, Slice v) {
+                        out.emplace_back(k.ToString(), Count(v.ToString()));
+                      })
+                  .ok());
+  auto expected = DirectCounts(keys);
+  ASSERT_EQ(out.size(), expected.size());
+  for (size_t i = 1; i < out.size(); ++i) {
+    EXPECT_GT(out[i - 1].first, out[i].first) << "not strictly descending";
+  }
+  for (const auto& [key, count] : out) EXPECT_EQ(count, expected[key]) << key;
+}
+
+TEST(SpillMergeStoreTest, SpillRunsAreKeyOrdered) {
+  ScratchDir scratch;
+  StoreConfig config;
+  config.type = StoreType::kSpillMerge;
+  config.scratch_dir = scratch.path();
+  SpillMergeStore store(config);
+  CountReducer reducer;
+  auto keys = RandomKeys(2000, 23, 500);  // random arrival order
+  ASSERT_TRUE(FoldAll(&store, &reducer, keys).ok());
+  ASSERT_TRUE(store.SpillNow().ok());
+
+  std::vector<std::string> runs;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(scratch.path())) {
+    if (entry.is_regular_file()) runs.push_back(entry.path().string());
+  }
+  ASSERT_EQ(runs.size(), 1u);
+  SpillFileReader reader(runs[0]);
+  ASSERT_TRUE(reader.Open().ok());
+  std::vector<std::string> run_keys;
+  std::string key, value;
+  bool has = true;
+  while (true) {
+    ASSERT_TRUE(reader.Next(&key, &value, &has).ok());
+    if (!has) break;
+    run_keys.push_back(key);
+  }
+  EXPECT_EQ(run_keys.size(), DirectCounts(keys).size());
+  for (size_t i = 1; i < run_keys.size(); ++i) {
+    EXPECT_LT(run_keys[i - 1], run_keys[i]) << "spill run out of key order";
+  }
+}
+
 /// The heap cap over both memtable stores (kInMemory is kSpillMerge
 /// that never spills), built through the factory as the engine does.
 class HeapCapTest : public ::testing::TestWithParam<StoreType> {};
@@ -490,6 +552,55 @@ TEST_P(StoreEquivalenceTest, PreloadThenFoldThroughDriver) {
   for (const mr::Record& r : out) result[r.key] = Count(r.value);
   EXPECT_EQ(result, expected);
   EXPECT_EQ(driver.store()->stats().folds, 50u + keys.size());
+}
+
+TEST_P(StoreEquivalenceTest, ArrivalOrderDoesNotChangeOutput) {
+  // Two permutations of the same set-valued records: whatever order the
+  // stores index keys in internally, both scans emit the same bytes.
+  Pcg32 rng(Seed() + 200);
+  std::vector<std::pair<std::string, std::string>> records;
+  for (int i = 0; i < 3000; ++i) {
+    records.emplace_back("track" + std::to_string(rng.NextBounded(300)),
+                         "user" + std::to_string(rng.NextBounded(50)));
+  }
+  auto reversed = records;
+  std::reverse(reversed.begin(), reversed.end());
+  auto shuffled = records;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1],
+              shuffled[rng.NextBounded(static_cast<uint32_t>(i))]);
+  }
+  SetReducer reducer;
+  PartialStore::MergeFn merge = [&reducer](Slice key, Slice a, Slice b) {
+    return reducer.MergePartials(key, a, b);
+  };
+  struct Scans {
+    std::string current;
+    std::string merged;
+  };
+  auto scan = [&](const std::vector<std::pair<std::string, std::string>>&
+                      arrival) {
+    auto store = CreatePartialStore(MakeConfig());
+    for (const auto& [key, value] : arrival) {
+      EXPECT_TRUE(store->Fold(Slice(key), Slice(value), &reducer, nullptr).ok());
+    }
+    Scans out;
+    auto append_to = [](std::string* bytes) {
+      return [bytes](Slice k, Slice v) {
+        bytes->append(k.data(), k.size()).append(1, '\0');
+        bytes->append(v.data(), v.size()).append(1, '\0');
+      };
+    };
+    EXPECT_TRUE(store->ForEachCurrent(merge, append_to(&out.current)).ok());
+    EXPECT_TRUE(store->ForEachMerged(merge, append_to(&out.merged)).ok());
+    return out;
+  };
+  Scans a = scan(reversed);
+  Scans b = scan(shuffled);
+  EXPECT_FALSE(a.merged.empty());
+  EXPECT_EQ(a.current, b.current);
+  EXPECT_EQ(a.merged, b.merged);
+  EXPECT_EQ(a.current, a.merged);
 }
 
 INSTANTIATE_TEST_SUITE_P(
