@@ -124,68 +124,75 @@ class KnnIncrementalMapper final : public mr::Mapper {
   std::vector<int64_t> training_;
 };
 
-/// Partial result: concatenation of at most k EncodeNeighbor entries,
-/// ascending by distance (the ordered linked list of §4.4).
+bool Closer(const KnnNeighbor& a, const KnnNeighbor& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.train_value < b.train_value;
+}
+
+/// Decodes the neighbour under `c`.  False at the end of the list and at
+/// an entry that does not decode: the list is the entries before it.
+bool NeighborAt(const StringCursor& c, KnnNeighbor* n) {
+  return c.valid() && DecodeNeighbor(c.value(), n);
+}
+
+/// Partial result: concatenation of at most k length-prefixed
+/// EncodeNeighbor entries, ascending by (distance, train value) — the
+/// ordered linked list of §4.4.  Every operation works on those bytes
+/// directly.
 class KnnIncremental final : public core::IncrementalReducer {
  public:
   void Setup(const Config& config) override {
-    k_ = config.GetInt("knn.k", 10);
+    k_ = static_cast<size_t>(config.GetInt("knn.k", 10));
   }
 
   void Update(Slice /*key*/, Slice value, std::string* partial,
               mr::ReduceEmitter* /*out*/) override {
-    std::vector<KnnNeighbor> list = Parse(Slice(*partial));
     KnnNeighbor n;
     if (!DecodeNeighbor(value, &n)) return;
-    Insert(&list, n);
-    *partial = Serialize(list);
+    StringCursor c{Slice(*partial)};
+    KnnNeighbor current;
+    size_t rank = 0;
+    for (; NeighborAt(c, &current) && Closer(current, n); c.Next()) ++rank;
+    if (rank >= k_) return;  // the list is full of closer neighbours
+    size_t at = c.begin();
+    // Keep k - rank - 1 entries after the insert point; the bytes past
+    // them (and any that do not decode) are cut.
+    for (size_t kept = rank + 1; kept < k_ && NeighborAt(c, &current);
+         ++kept) {
+      c.Next();
+    }
+    partial->resize(c.begin());
+    InsertString(partial, at, value);
   }
 
+  /// The k closest of both lists, merged in one pass.
   std::string MergePartials(Slice /*key*/, Slice a, Slice b) override {
-    std::vector<KnnNeighbor> list = Parse(a);
-    for (const KnnNeighbor& n : Parse(b)) Insert(&list, n);
-    return Serialize(list);
+    std::string merged;
+    merged.reserve(a.size() + b.size());
+    StringCursor ca(a);
+    StringCursor cb(b);
+    KnnNeighbor na;
+    KnnNeighbor nb;
+    for (size_t taken = 0; taken < k_; ++taken) {
+      bool has_a = NeighborAt(ca, &na);
+      bool has_b = NeighborAt(cb, &nb);
+      if (!has_a && !has_b) break;
+      StringCursor& take = !has_b || (has_a && !Closer(nb, na)) ? ca : cb;
+      merged.append(take.entry().data(), take.entry().size());
+      take.Next();
+    }
+    return merged;
   }
 
   void Finish(Slice key, Slice partial, mr::ReduceEmitter* out) override {
-    for (const KnnNeighbor& n : Parse(partial)) {
-      std::string encoded = EncodeNeighbor(n);
-      out->Emit(key, Slice(encoded));
+    KnnNeighbor n;
+    for (StringCursor c(partial); NeighborAt(c, &n); c.Next()) {
+      out->Emit(key, c.value());
     }
   }
 
  private:
-  std::vector<KnnNeighbor> Parse(Slice partial) const {
-    std::vector<KnnNeighbor> out;
-    Decoder dec(partial);
-    while (!dec.empty()) {
-      Slice entry;
-      if (!dec.GetString(&entry)) break;
-      KnnNeighbor n;
-      if (DecodeNeighbor(entry, &n)) out.push_back(n);
-    }
-    return out;
-  }
-
-  std::string Serialize(const std::vector<KnnNeighbor>& list) const {
-    ByteBuffer buf;
-    Encoder enc(&buf);
-    for (const KnnNeighbor& n : list) enc.PutString(EncodeNeighbor(n));
-    return buf.ToString();
-  }
-
-  void Insert(std::vector<KnnNeighbor>* list, const KnnNeighbor& n) const {
-    auto it = std::lower_bound(
-        list->begin(), list->end(), n,
-        [](const KnnNeighbor& a, const KnnNeighbor& b) {
-          if (a.distance != b.distance) return a.distance < b.distance;
-          return a.train_value < b.train_value;
-        });
-    list->insert(it, n);
-    if (list->size() > static_cast<size_t>(k_)) list->pop_back();
-  }
-
-  int64_t k_ = 10;
+  size_t k_ = 10;
 };
 
 int CompareFirst8(Slice a, Slice b) {

@@ -1,8 +1,6 @@
 #include "apps/lastfm.h"
 
-#include <algorithm>
 #include <set>
-#include <vector>
 
 #include "common/serde.h"
 #include "core/incremental.h"
@@ -39,52 +37,48 @@ class ListenReducer final : public mr::Reducer {
 };
 
 /// Without barrier: the per-track user set *is* the partial result,
-/// serialized as sorted length-prefixed strings.
+/// serialized as length-prefixed strings in ascending std::string order
+/// of the decoded user (not of the encoded bytes: "4" < "40" < "41"
+/// whatever their length prefixes).  Every operation works on those
+/// bytes directly.
 class ListenIncremental final : public core::IncrementalReducer {
  public:
   void Update(Slice /*key*/, Slice value, std::string* partial,
               mr::ReduceEmitter* /*out*/) override {
-    std::vector<std::string> users = Parse(Slice(*partial));
-    std::string user = value.ToString();
-    auto it = std::lower_bound(users.begin(), users.end(), user);
-    if (it == users.end() || *it != user) {
-      users.insert(it, std::move(user));
-      *partial = Serialize(users);
-    }
+    StringCursor c{Slice(*partial)};
+    while (c.valid() && c.value() < value) c.Next();
+    if (c.valid() && c.value() == value) return;
+    // Bytes past the decodable set are dropped, as re-encoding the
+    // decoded set would.
+    if (!c.valid()) partial->resize(c.begin());
+    InsertString(partial, c.begin(), value);
   }
 
-  /// Set union across spill fragments.
+  /// Set union across spill fragments: a two-pointer merge that copies
+  /// whole entries.
   std::string MergePartials(Slice /*key*/, Slice a, Slice b) override {
-    std::vector<std::string> ua = Parse(a);
-    std::vector<std::string> ub = Parse(b);
-    std::vector<std::string> merged;
-    merged.reserve(ua.size() + ub.size());
-    std::set_union(ua.begin(), ua.end(), ub.begin(), ub.end(),
-                   std::back_inserter(merged));
-    return Serialize(merged);
+    std::string merged;
+    merged.reserve(a.size() + b.size());
+    StringCursor ca(a);
+    StringCursor cb(b);
+    while (ca.valid() || cb.valid()) {
+      int order = !cb.valid()   ? -1
+                  : !ca.valid() ? 1
+                                : ca.value().Compare(cb.value());
+      StringCursor& take = order <= 0 ? ca : cb;
+      merged.append(take.entry().data(), take.entry().size());
+      if (order == 0) cb.Next();
+      take.Next();
+    }
+    return merged;
   }
 
   /// Post-processing: count the deduplicated set.
   void Finish(Slice key, Slice partial, mr::ReduceEmitter* out) override {
-    std::string count =
-        EncodeI64(static_cast<int64_t>(Parse(partial).size()));
+    int64_t users = 0;
+    for (StringCursor c(partial); c.valid(); c.Next()) ++users;
+    std::string count = EncodeI64(users);
     out->Emit(key, Slice(count));
-  }
-
- private:
-  static std::vector<std::string> Parse(Slice partial) {
-    std::vector<std::string> out;
-    Decoder dec(partial);
-    std::string user;
-    while (!dec.empty() && dec.GetString(&user)) out.push_back(user);
-    return out;
-  }
-
-  static std::string Serialize(const std::vector<std::string>& users) {
-    ByteBuffer buf;
-    Encoder enc(&buf);
-    for (const auto& user : users) enc.PutString(user);
-    return buf.ToString();
   }
 };
 

@@ -4,6 +4,7 @@
 // partial-result spill files.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -60,6 +61,20 @@ class Encoder {
  private:
   ByteBuffer* out_;
 };
+
+/// In-place counterpart of Encoder::PutString: splices the
+/// length-prefixed `s` into `dst` at byte offset `at`, moving the tail
+/// of `dst` once.  `s` must not point into `dst`.
+inline void InsertString(std::string* dst, size_t at, Slice s) {
+  char head[10];
+  size_t n = 0;
+  uint64_t v = s.size();
+  for (; v >= 0x80; v >>= 7) head[n++] = static_cast<char>(v | 0x80);
+  head[n++] = static_cast<char>(v);
+  dst->insert(at, n + s.size(), '\0');
+  std::copy_n(head, n, dst->data() + at);
+  std::copy_n(s.data(), s.size(), dst->data() + at + n);
+}
 
 /// Consumes primitive values from a Slice; every Get* advances the view.
 /// All getters return false (and leave the output untouched) on truncated
@@ -158,6 +173,36 @@ class Decoder {
 
  private:
   Slice in_;
+};
+
+/// Walks a run of length-prefixed strings (Encoder::PutString output)
+/// in place.  It stops at the end or at the first entry that does not
+/// decode; the run is the entries before that point.
+class StringCursor {
+ public:
+  explicit StringCursor(Slice run) : run_(run) { Next(); }
+
+  bool valid() const { return valid_; }
+  /// The current string, without its length prefix.
+  Slice value() const { return value_; }
+  /// Byte offset of the current entry (or of where the run ends).
+  size_t begin() const { return begin_; }
+  /// The current entry's bytes, length prefix included.
+  Slice entry() const { return Slice(run_.data() + begin_, end_ - begin_); }
+
+  void Next() {
+    begin_ = end_;
+    Decoder dec(Slice(run_.data() + begin_, run_.size() - begin_));
+    valid_ = !dec.empty() && dec.GetString(&value_);
+    if (valid_) end_ = run_.size() - dec.remaining();
+  }
+
+ private:
+  Slice run_;
+  Slice value_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  bool valid_ = false;
 };
 
 // -- Typed key helpers -------------------------------------------------

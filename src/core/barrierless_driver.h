@@ -58,7 +58,6 @@ class BarrierlessDriver {
   uint64_t records_consumed() const { return records_consumed_; }
 
   const PartialStore* store() const { return store_.get(); }
-  PartialStore* mutable_store() { return store_.get(); }
 
  private:
   IncrementalReducer* reducer_;

@@ -1,8 +1,7 @@
 #include "core/kvstore.h"
 
-#include <cstdio>
-
 #include <algorithm>
+#include <cstdio>
 
 #include "common/serde.h"
 #include "faults/fault_injector.h"
@@ -25,10 +24,6 @@ Status KvStoreBackend::CheckLog() const {
 
 KvStoreBackend::~KvStoreBackend() {
   if (log_ != nullptr) std::fclose(log_);
-}
-
-void KvStoreBackend::Touch(LruList::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
 }
 
 Status KvStoreBackend::WriteToLog(Slice value, DiskLocation* loc) {
@@ -94,7 +89,7 @@ Status KvStoreBackend::Fold(Slice key, Slice value,
   ++stats_.folds;
   auto hit = cache_index_.find(key);  // transparent: no key copy
   if (hit != cache_index_.end()) {
-    Touch(hit->second);
+    lru_.splice(lru_.begin(), lru_, hit->second);  // most recent first
   } else {
     // Only a cache miss materializes an owning key.
     std::string partial;

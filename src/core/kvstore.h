@@ -54,7 +54,6 @@ class KvStoreBackend final : public PartialStore {
   using LruList = std::list<CacheEntry>;
 
   [[nodiscard]] Status ScanAll(const EmitFn& fn);
-  void Touch(LruList::iterator it);
   [[nodiscard]] Status EvictIfNeeded();
   [[nodiscard]] Status WriteToLog(Slice value, DiskLocation* loc);
   [[nodiscard]] Status ReadFromLog(const DiskLocation& loc, std::string* value);

@@ -48,9 +48,9 @@ const char* StoreTypeName(StoreType type);
 struct StoreConfig {
   StoreType type = StoreType::kInMemory;
   /// Hard heap cap for partial results (kInMemory, kSpillMerge): a fold
-  /// whose footprint would exceed it is rejected with
-  /// RESOURCE_EXHAUSTED before it touches the store (the job is killed,
-  /// as in Fig. 5(a)).  0 = unlimited.
+  /// whose footprint would exceed it is rejected with RESOURCE_EXHAUSTED
+  /// before it touches the store (the job is killed, as in Fig. 5(a)),
+  /// so each fold works on a copy.  0 = unlimited: folds run in place.
   uint64_t heap_limit_bytes = 0;
   /// kSpillMerge: spill to disk when estimated memory reaches this.
   /// kInMemory ignores it and never spills.
@@ -102,7 +102,8 @@ class PartialStore {
   /// Fold one arriving record into `key`'s partial result with a single
   /// lookup: a key seen for the first time starts from
   /// `reducer->InitPartial(key)`, then `reducer->Update(key, value,
-  /// &partial, out)` mutates the stored partial.  May return
+  /// &partial, out)` mutates the stored partial (a memtable under a heap
+  /// cap folds a copy and keeps it only if it fits).  May return
   /// RESOURCE_EXHAUSTED (heap cap) or I/O errors — a disk-backed store
   /// may have to page the partial in, or evict a dirty victim to make
   /// room, and a failed victim write-back is data loss that must be

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <string>
 
-
 namespace bmr::core {
 
 /// Creates a unique directory on construction (under `base`, or the

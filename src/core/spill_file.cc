@@ -109,8 +109,7 @@ Status SpillFileReader::ReadVarint(uint64_t* v) {
 
 Status SpillFileReader::ReadBytes(std::string* out, size_t n) {
   if (buffer_.size() - buffer_pos_ < n) {
-    size_t deficit = n - (buffer_.size() - buffer_pos_);
-    BMR_RETURN_IF_ERROR(FillBuffer(buffer_.size() - buffer_pos_ + deficit));
+    BMR_RETURN_IF_ERROR(FillBuffer(n));  // compacts: buffer_pos_ becomes 0
   }
   out->assign(buffer_.data() + buffer_pos_, n);
   buffer_pos_ += n;

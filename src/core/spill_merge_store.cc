@@ -21,40 +21,48 @@ Status SpillMergeStore::Fold(Slice key, Slice value,
   // from InitPartial, exactly as in the paper's scheme.
   auto it = memtable_.find(key);  // transparent: no key copy
   bool exists = it != memtable_.end();
-  if (exists) {
-    fold_scratch_.assign(it->second);
+  if (config_.heap_limit_bytes == 0) {
+    // No cap can reject the fold: update the stored partial in place.
+    if (!exists) {
+      it = memtable_.emplace(key.ToString(), reducer->InitPartial(key)).first;
+      ++approx_keys_;
+      memory_bytes_ += EntryFootprint(key.size(), it->second.size());
+    }
+    memory_bytes_ -= it->second.size();
+    reducer->Update(key, value, &it->second, out);
+    memory_bytes_ += it->second.size();
   } else {
-    fold_scratch_ = reducer->InitPartial(key);
+    // Fold into scratch and check the cap on the *prospective*
+    // footprint: a rejected fold must leave the store (keys, bytes,
+    // peak stats) exactly as it found it, so the OOM boundary is
+    // observable and consistent.
+    if (exists) {
+      fold_scratch_.assign(it->second);  // reuses the scratch buffer
+    } else {
+      fold_scratch_ = reducer->InitPartial(key);
+    }
+    reducer->Update(key, value, &fold_scratch_, out);
+    uint64_t new_bytes =
+        exists ? memory_bytes_ + fold_scratch_.size() - it->second.size()
+               : memory_bytes_ +
+                     EntryFootprint(key.size(), fold_scratch_.size());
+    if (new_bytes > config_.heap_limit_bytes) {
+      return Status::ResourceExhausted(
+          "partial results exceed reducer heap (" + std::to_string(new_bytes) +
+          " > " + std::to_string(config_.heap_limit_bytes) + " bytes)");
+    }
+    if (!exists) {
+      it = memtable_.emplace(key.ToString(), std::string()).first;
+      ++approx_keys_;
+    }
+    // Swap rather than copy: the old partial's buffer becomes the next
+    // fold's scratch.
+    it->second.swap(fold_scratch_);
+    memory_bytes_ = new_bytes;
   }
-  reducer->Update(key, value, &fold_scratch_, out);
-
-  // Check the heap cap on the *prospective* footprint, before touching
-  // the memtable: a rejected fold must leave the store (keys, bytes,
-  // peak stats) exactly as it found it, so the OOM boundary is
-  // observable and consistent.
-  uint64_t new_bytes =
-      exists ? memory_bytes_ + fold_scratch_.size() - it->second.size()
-             : memory_bytes_ + EntryFootprint(key.size(), fold_scratch_.size());
-  if (config_.heap_limit_bytes != 0 && new_bytes > config_.heap_limit_bytes) {
-    return Status::ResourceExhausted(
-        "partial results exceed reducer heap (" + std::to_string(new_bytes) +
-        " > " + std::to_string(config_.heap_limit_bytes) + " bytes)");
-  }
-
-  if (!exists) {
-    it = memtable_.emplace(key.ToString(), std::string()).first;
-    ++approx_keys_;
-  }
-  // Swap rather than copy: the old partial's buffer becomes the next
-  // fold's scratch.
-  it->second.swap(fold_scratch_);
-  memory_bytes_ = new_bytes;
   stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, memory_bytes_);
-
-  if (memory_bytes_ >= config_.spill_threshold_bytes) {
-    return SpillNow();
-  }
-  return Status::Ok();
+  return memory_bytes_ >= config_.spill_threshold_bytes ? SpillNow()
+                                                        : Status::Ok();
 }
 
 Status SpillMergeStore::SpillNow() {

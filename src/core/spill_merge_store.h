@@ -59,8 +59,8 @@ class SpillMergeStore final : public PartialStore {
   /// spills); exact count requires the merge pass.
   uint64_t approx_keys_ = 0;
   std::vector<std::string> spill_paths_;
-  /// Fold target: a partial is updated here and swapped into the
-  /// memtable only once its footprint fits under the heap cap.
+  /// Fold target under a heap cap: a partial is updated here and
+  /// swapped into the memtable only once its footprint fits.
   std::string fold_scratch_;
   StoreStats stats_;
 };

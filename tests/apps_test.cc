@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "apps/blackscholes.h"
 #include "apps/genetic.h"
@@ -15,7 +17,9 @@
 #include "apps/registry.h"
 #include "apps/sort.h"
 #include "apps/wordcount.h"
+#include "common/rng.h"
 #include "common/serde.h"
+#include "mr/emitter.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -420,6 +424,156 @@ TEST(WordCountWithStoresTest, AllThreeStoresAgree) {
       reference = as_map;
     } else {
       EXPECT_EQ(as_map, reference) << core::StoreTypeName(type);
+    }
+  }
+}
+
+// ---- Barrier-less folds against reference containers ----------------
+//
+// Last.fm and kNN fold over their partials' bytes in place, so each is
+// checked here against a plain container: random record sequences are
+// cut at random spill boundaries, every fragment is folded from
+// InitPartial, and the fragments are merged in both groupings.  Every
+// partial must equal the reference encoding byte for byte.
+
+std::unique_ptr<core::IncrementalReducer> IncrementalOf(
+    mr::JobSpec (*make)(const apps::AppOptions&), const Config& extra) {
+  apps::AppOptions options;
+  options.barrierless = true;
+  options.extra = extra;
+  std::unique_ptr<core::IncrementalReducer> reducer =
+      make(options).incremental();
+  reducer->Setup(extra);
+  return reducer;
+}
+
+/// Folds `values` the way a spilling store does and checks each step.
+/// `expect(begin, end)` is the reference partial of values[begin, end).
+/// Returns the partial of all values.
+std::string FoldInFragments(
+    core::IncrementalReducer* reducer, const std::vector<std::string>& values,
+    Pcg32* rng,
+    const std::function<std::string(size_t, size_t)>& expect) {
+  std::vector<std::string> fragments;
+  size_t begin = 0;
+  while (begin < values.size() || fragments.empty()) {
+    // Some fragments are empty: a key can spill with an untouched partial.
+    size_t len = rng->NextBounded(4) == 0
+                     ? 0
+                     : rng->NextBounded(
+                           static_cast<uint32_t>(values.size() - begin + 1));
+    std::string partial = reducer->InitPartial("key");
+    for (size_t i = begin; i < begin + len; ++i) {
+      reducer->Update("key", values[i], &partial, nullptr);
+    }
+    EXPECT_EQ(partial, expect(begin, begin + len));
+    fragments.push_back(std::move(partial));
+    begin += len;
+  }
+  std::string left = fragments.front();
+  for (size_t i = 1; i < fragments.size(); ++i) {
+    left = reducer->MergePartials("key", left, fragments[i]);
+  }
+  std::string right = fragments.back();
+  for (size_t i = fragments.size() - 1; i-- > 0;) {
+    right = reducer->MergePartials("key", fragments[i], right);
+  }
+  EXPECT_EQ(left, expect(0, values.size()));
+  EXPECT_EQ(right, left) << "MergePartials must be associative";
+  return left;
+}
+
+std::vector<Record> FinishOf(core::IncrementalReducer* reducer,
+                             const std::string& partial) {
+  std::vector<Record> out;
+  mr::VectorEmitter<std::vector<Record>> emitter(&out);
+  reducer->Finish("key", partial, &emitter);
+  return out;
+}
+
+TEST(LastFmFoldTest, MatchesStdSetByteForByte) {
+  auto reducer = IncrementalOf(apps::MakeLastFmJob, Config());
+  // Byte prefixes of each other ("4" < "40" < "400" < "41") and users on
+  // both sides of the one-byte varint length limit, including a
+  // 128-byte user that sorts between two others of 127 and 128 bytes.
+  const std::vector<std::string> edge_users = {
+      "",  "4", "40", "400", "41", "5", "\xff", std::string("a\0b", 3),
+      std::string(127, 'u'), std::string(128, 'u'),
+      std::string(127, 'u') + "a", std::string(300, 'z')};
+  Pcg32 rng(61);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::string> users;
+    size_t n = rng.NextBounded(48);
+    for (size_t i = 0; i < n; ++i) {
+      users.push_back(rng.NextBounded(2) == 0
+                          ? edge_users[rng.NextBounded(edge_users.size())]
+                          : std::to_string(rng.NextBounded(500)));
+    }
+    auto reference = [&users](size_t begin, size_t end) {
+      std::set<std::string> set(users.begin() + begin, users.begin() + end);
+      ByteBuffer buf;
+      Encoder enc(&buf);
+      for (const std::string& user : set) enc.PutString(user);
+      return buf.ToString();
+    };
+    std::string merged = FoldInFragments(reducer.get(), users, &rng, reference);
+    std::set<std::string> all(users.begin(), users.end());
+    std::vector<Record> expected = {
+        {"key", EncodeI64(static_cast<int64_t>(all.size()))}};
+    EXPECT_EQ(FinishOf(reducer.get(), merged), expected) << "trial " << trial;
+  }
+}
+
+TEST(KnnFoldTest, MatchesSortedVectorByteForByte) {
+  Pcg32 rng(62);
+  for (int64_t k : {1, 2, 5, 10}) {
+    Config config;
+    config.SetInt("knn.k", k);
+    auto reducer = IncrementalOf(apps::MakeKnnJob, config);
+    for (int trial = 0; trial < 150; ++trial) {
+      // Few distances and train values, so ties on distance (and exact
+      // duplicates) are common; a few wide values exercise long varints.
+      std::vector<apps::KnnNeighbor> neighbors;
+      size_t n = rng.NextBounded(40);
+      for (size_t i = 0; i < n; ++i) {
+        apps::KnnNeighbor nb;
+        nb.distance = rng.NextBounded(8) == 0 ? (int64_t{1} << 50)
+                                               : rng.NextInRange(0, 5);
+        nb.train_value = rng.NextBounded(8) == 0 ? -(int64_t{1} << 62)
+                                                  : rng.NextInRange(-6, 6);
+        neighbors.push_back(nb);
+      }
+      auto top_k = [&neighbors, k](size_t begin, size_t end) {
+        std::vector<apps::KnnNeighbor> sorted(neighbors.begin() + begin,
+                                              neighbors.begin() + end);
+        std::sort(sorted.begin(), sorted.end(), [](const auto& a,
+                                                   const auto& b) {
+          return std::tie(a.distance, a.train_value) <
+                 std::tie(b.distance, b.train_value);
+        });
+        sorted.resize(std::min(sorted.size(), static_cast<size_t>(k)));
+        return sorted;
+      };
+      auto reference = [&top_k](size_t begin, size_t end) {
+        ByteBuffer buf;
+        Encoder enc(&buf);
+        for (const auto& nb : top_k(begin, end)) {
+          enc.PutString(apps::EncodeNeighbor(nb));
+        }
+        return buf.ToString();
+      };
+      std::vector<std::string> values;
+      for (const auto& nb : neighbors) {
+        values.push_back(apps::EncodeNeighbor(nb));
+      }
+      std::string merged =
+          FoldInFragments(reducer.get(), values, &rng, reference);
+      std::vector<Record> expected;
+      for (const auto& nb : top_k(0, n)) {
+        expected.push_back({"key", apps::EncodeNeighbor(nb)});
+      }
+      EXPECT_EQ(FinishOf(reducer.get(), merged), expected)
+          << "k=" << k << " trial " << trial;
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include "apps/sort.h"
 #include "apps/wordcount.h"
+#include "common/mutex.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -184,6 +185,74 @@ TEST(EngineTest, SortProducesGloballyOrderedOutput) {
   }
 }
 
+/// Makes the barrier-less overlap a certainty rather than a matter of
+/// thread scheduling: one map attempt is held open in Cleanup until a
+/// reducer has folded its first record.
+struct OverlapGate {
+  Mutex mu;
+  CondVar cv;
+  bool held BMR_GUARDED_BY(mu) = false;    // a map attempt took the hold
+  bool folded BMR_GUARDED_BY(mu) = false;  // some reducer ran Update
+};
+
+class HeldMapper final : public mr::Mapper {
+ public:
+  HeldMapper(std::unique_ptr<mr::Mapper> inner, OverlapGate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+  void Setup(mr::MapContext* ctx) override { inner_->Setup(ctx); }
+  void Map(Slice key, Slice value, mr::MapContext* ctx) override {
+    inner_->Map(key, value, ctx);
+  }
+  void Cleanup(mr::MapContext* ctx) override {
+    inner_->Cleanup(ctx);
+    MutexLock lock(gate_->mu);
+    if (gate_->held) return;
+    gate_->held = true;
+    while (!gate_->folded) {
+      // Bounded, so a reducer that never starts fails the overlap
+      // assertion instead of hanging the suite.
+      if (!gate_->cv.WaitFor(gate_->mu, 30000)) break;
+    }
+  }
+
+ private:
+  std::unique_ptr<mr::Mapper> inner_;
+  OverlapGate* gate_;
+};
+
+class SignallingReducer final : public core::IncrementalReducer {
+ public:
+  SignallingReducer(std::unique_ptr<core::IncrementalReducer> inner,
+                    OverlapGate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+  void Setup(const Config& config) override { inner_->Setup(config); }
+  bool UsesStore() const override { return inner_->UsesStore(); }
+  std::string InitPartial(Slice key) override {
+    return inner_->InitPartial(key);
+  }
+  void Update(Slice key, Slice value, std::string* partial,
+              mr::ReduceEmitter* out) override {
+    inner_->Update(key, value, partial, out);
+    if (signalled_) return;
+    signalled_ = true;
+    MutexLock lock(gate_->mu);
+    gate_->folded = true;
+    gate_->cv.NotifyAll();
+  }
+  std::string MergePartials(Slice key, Slice a, Slice b) override {
+    return inner_->MergePartials(key, a, b);
+  }
+  void Finish(Slice key, Slice partial, mr::ReduceEmitter* out) override {
+    inner_->Finish(key, partial, out);
+  }
+  void Flush(mr::ReduceEmitter* out) override { inner_->Flush(out); }
+
+ private:
+  std::unique_ptr<core::IncrementalReducer> inner_;
+  OverlapGate* gate_;
+  bool signalled_ = false;
+};
+
 TEST(EngineTest, TimelineShowsBarrierGapAndPipelinedOverlap) {
   auto cluster = MakeTestCluster(4, /*block_bytes=*/32 << 10);
   workload::TextGenOptions gen;
@@ -203,7 +272,15 @@ TEST(EngineTest, TimelineShowsBarrierGapAndPipelinedOverlap) {
 
   options.output_path = "/out-bl";
   options.barrierless = true;
-  JobResult barrierless = runner.Run(apps::MakeWordCountJob(options));
+  mr::JobSpec spec = apps::MakeWordCountJob(options);
+  OverlapGate gate;
+  spec.mapper = [make = spec.mapper, &gate] {
+    return std::make_unique<HeldMapper>(make(), &gate);
+  };
+  spec.incremental = [make = spec.incremental, &gate] {
+    return std::make_unique<SignallingReducer>(make(), &gate);
+  };
+  JobResult barrierless = runner.Run(std::move(spec));
   ASSERT_TRUE(barrierless.ok());
 
   // With barrier: reduce phases must start after the LAST map ends.

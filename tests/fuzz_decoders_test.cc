@@ -2,7 +2,9 @@
 // that parse untrusted bytes: net/framing.cc DecodeFrame (frames cut
 // off a TCP connection), common/serde.h Decoder::GetVarint64 (the
 // primitive every other getter builds on), and mr DecodeSegment
-// (shuffle segments fetched from remote peers).
+// (shuffle segments fetched from remote peers).  The Last.fm and kNN
+// partial folds, which walk partial bytes read back from spill runs,
+// get every truncation and single-bit flip of valid partials instead.
 //
 // No libFuzzer: a Pcg32 seeded per sweep drives the mutation schedule,
 // so every run — local, CI, asan, ubsan — explores the exact same
@@ -29,12 +31,17 @@
 #include <string>
 #include <vector>
 
+#include "apps/knn.h"
+#include "apps/lastfm.h"
 #include "common/bytes.h"
 #include "common/codec.h"
+#include "common/config.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "common/status.h"
+#include "core/incremental.h"
 #include "gtest/gtest.h"
+#include "mr/emitter.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
 #include "mr/segment_codec.h"
@@ -433,6 +440,69 @@ int SegmentCorruptionViolations(const std::string& seed,
   return violations;
 }
 
+// ---- partial folds: apps/lastfm.cc, apps/knn.cc --------------------
+//
+// Last.fm's user set and kNN's top-k list are updated, merged and
+// finished by walking their own bytes, and a spill run hands those
+// bytes back unverified.  Every truncation and every single-bit flip
+// of a valid partial goes through Update, MergePartials and Finish; the
+// asan and ubsan legs turn any out-of-bounds read into a failure.
+
+/// Every proper prefix and every single-bit flip of `valid`.
+std::vector<std::string> Corruptions(const std::string& valid) {
+  std::vector<std::string> out;
+  for (size_t len = 0; len < valid.size(); ++len) {
+    out.push_back(valid.substr(0, len));
+  }
+  for (size_t at = 0; at < valid.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      out.push_back(valid);
+      out.back()[at] = static_cast<char>(valid[at] ^ (1 << bit));
+    }
+  }
+  return out;
+}
+
+/// Feeds a corrupted partial through every entry point.  Beyond not
+/// crashing, the walks copy whole entries and stop at the first one
+/// that does not decode, so merging `bad` with nothing yields a byte
+/// prefix of it, and no output outgrows its inputs.
+bool CorruptPartialSurvives(core::IncrementalReducer* reducer,
+                            const std::string& bad, const std::string& good,
+                            Slice value) {
+  std::string updated = bad;
+  reducer->Update("key", value, &updated, nullptr);
+  bool ok = updated.size() <= bad.size() + value.size() + 10;
+  std::string alone = reducer->MergePartials("key", bad, "");
+  ok = ok && bad.compare(0, alone.size(), alone) == 0;
+  for (const std::string& merged : {reducer->MergePartials("key", good, bad),
+                                    reducer->MergePartials("key", bad, good),
+                                    reducer->MergePartials("key", bad, bad)}) {
+    ok = ok && merged.size() <= good.size() + 2 * bad.size();
+  }
+  std::vector<mr::Record> out;
+  mr::VectorEmitter<std::vector<mr::Record>> emitter(&out);
+  reducer->Finish("key", bad, &emitter);
+  reducer->Finish("key", updated, &emitter);
+  return ok;
+}
+
+/// The valid partial `values` fold to, and the number of its corruptions
+/// that broke an invariant.
+int PartialFoldViolations(core::IncrementalReducer* reducer,
+                          const std::vector<std::string>& values,
+                          Slice probe) {
+  std::string good = reducer->InitPartial("key");
+  for (const std::string& v : values) {
+    reducer->Update("key", v, &good, nullptr);
+  }
+  int violations = 0;
+  for (const std::string& bad : Corruptions(good)) {
+    if (!CorruptPartialSurvives(reducer, bad, good, probe)) ++violations;
+  }
+  return violations;
+}
+
 // ---- the sweeps ----------------------------------------------------
 
 class FuzzDecodersTest : public ::testing::Test {
@@ -563,6 +633,37 @@ TEST_F(FuzzDecodersTest, HarnessCatchesBrokenDecoder) {
   SweepResult r = RunSweep(corpus, kSeed, 2000, broken);
   EXPECT_GT(r.violations, 0)
       << "harness failed to flag a decoder that silently drops high bits";
+}
+
+TEST_F(FuzzDecodersTest, CorruptLastFmPartialsAreWalkedSafely) {
+  apps::AppOptions options;
+  options.barrierless = true;
+  auto reducer = apps::MakeLastFmJob(options).incremental();
+  reducer->Setup(Config());
+  // Users on both sides of the one-byte varint length limit.
+  std::vector<std::string> users = {"4", "40", "41", std::string(127, 'u'),
+                                    std::string(128, 'u'), "", "user9"};
+  EXPECT_EQ(PartialFoldViolations(reducer.get(), users, "400"), 0);
+}
+
+TEST_F(FuzzDecodersTest, CorruptKnnPartialsAreWalkedSafely) {
+  for (int64_t k : {1, 3, 10}) {
+    Config config;
+    config.SetInt("knn.k", k);
+    apps::AppOptions options;
+    options.barrierless = true;
+    options.extra = config;
+    auto reducer = apps::MakeKnnJob(options).incremental();
+    reducer->Setup(config);
+    std::vector<std::string> values;
+    for (int64_t train : std::vector<int64_t>{7, -3, 3, 0, 1ll << 40, -9}) {
+      int64_t distance = train < 0 ? -train : train;
+      values.push_back(apps::EncodeNeighbor({distance, train}));
+    }
+    std::string probe = apps::EncodeNeighbor({3, 2});
+    EXPECT_EQ(PartialFoldViolations(reducer.get(), values, probe), 0)
+        << "k=" << k;
+  }
 }
 
 TEST_F(FuzzDecodersTest, CorpusSeedsAreWellFormed) {

@@ -468,6 +468,65 @@ TEST(KvStoreTest, EvictionWriteFailureSurfacesFromPageIn) {
   EXPECT_EQ(store.cache_misses(), misses_before + 1) << "fold paged A in";
 }
 
+/// Everything a store exposes, for comparing two stores byte for byte.
+struct StoreView {
+  std::vector<std::pair<std::string, std::string>> entries;
+  uint64_t keys = 0, memory = 0, folds = 0, spills = 0, spilled_bytes = 0,
+           disk_reads = 0, peak = 0;
+  bool operator==(const StoreView&) const = default;
+};
+
+StoreView ViewOf(PartialStore* store, IncrementalReducer* reducer,
+                 bool drain) {
+  StoreView view;
+  auto merge = [reducer](Slice key, Slice a, Slice b) {
+    return reducer->MergePartials(key, a, b);
+  };
+  auto collect = [&view](Slice k, Slice v) {
+    view.entries.emplace_back(k.ToString(), v.ToString());
+  };
+  Status st = drain ? store->ForEachMerged(merge, collect)
+                    : store->ForEachCurrent(merge, collect);
+  EXPECT_TRUE(st.ok()) << st;
+  const StoreStats& stats = store->stats();
+  view.keys = store->NumKeys();
+  view.memory = store->MemoryBytes();
+  view.folds = stats.folds;
+  view.spills = stats.spills;
+  view.spilled_bytes = stats.spilled_bytes;
+  view.disk_reads = stats.disk_reads;
+  view.peak = stats.peak_memory_bytes;
+  return view;
+}
+
+TEST(SpillMergeStoreTest, InPlaceFoldMatchesCappedCopyFold) {
+  // Without a heap cap Update runs on the stored partial; under a cap
+  // it runs on a copy.  A cap far above the footprint never rejects,
+  // so the two paths must agree on every byte and every statistic.
+  StoreConfig config;
+  config.type = StoreType::kSpillMerge;
+  config.spill_threshold_bytes = 4096;
+  SpillMergeStore in_place(config);
+  config.heap_limit_bytes = 1ull << 30;
+  SpillMergeStore copied(config);
+  SetReducer reducer;
+  Pcg32 rng(29);
+  for (int i = 1; i <= 3000; ++i) {
+    std::string track = "track" + std::to_string(rng.NextBounded(40));
+    std::string user = "user" + std::to_string(rng.NextBounded(300));
+    ASSERT_TRUE(in_place.Fold(Slice(track), Slice(user), &reducer, nullptr).ok());
+    ASSERT_TRUE(copied.Fold(Slice(track), Slice(user), &reducer, nullptr).ok());
+    if (i % 1000 == 0) {
+      EXPECT_EQ(ViewOf(&in_place, &reducer, false),
+                ViewOf(&copied, &reducer, false)) << "after " << i << " folds";
+    }
+  }
+  EXPECT_GE(in_place.stats().spills, 3u);
+  StoreView drained = ViewOf(&in_place, &reducer, true);
+  EXPECT_FALSE(drained.entries.empty());
+  EXPECT_EQ(drained, ViewOf(&copied, &reducer, true));
+}
+
 /// Property: all three stores produce identical merged results on the
 /// same random fold workloads.
 struct StoreCase {
