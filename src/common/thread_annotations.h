@@ -55,7 +55,7 @@
 // detector (common/lock_order.h) learns the same edges dynamically;
 // this makes the documented order checkable before any test runs.
 //   BMR_ACQUIRED_AFTER("mr.task_scheduler")
-//   mutable OrderedMutex mu_{"mr.shuffle.tracker"};
+//   OrderedMutex mu_{"mr.shuffle.tracker"};
 #define BMR_ACQUIRED_AFTER(...)
 
 // Escape hatch for code the analysis cannot express.  Every use must

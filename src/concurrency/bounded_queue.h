@@ -1,7 +1,7 @@
 // Blocking MPMC bounded queue.  This is the single FIFO buffer at the
-// heart of the barrier-less shuffle (Section 3.1 of the paper): all
-// per-mapper fetch threads push into one queue and one reduce thread
-// drains it in arrival order.
+// heart of the barrier-less shuffle (Section 3.1 of the paper): a
+// reducer's fetch copier threads push into one queue and one reduce
+// thread drains it in arrival order.
 //
 // The hot path moves *batches*: PushAll/PopAll transfer a whole vector
 // of items under one lock acquisition and at most one condition-variable

@@ -8,17 +8,17 @@
 //                                       speculative backup tasks
 //   executors       (task_executor.h)   one map / reduce attempt body
 //   ShuffleService  (shuffle_service.h) job-scoped segment stores,
-//                                       tracker, fetch threads, sinks
+//                                       tracker, fetch copiers, sinks
 //   MetricsRegistry (metrics.h)         counters, samples, timeline
 //
 // Mode structure mirrors Hadoop 0.20 as described in §3.1 of the
 // paper:
-//   with barrier  — map tasks sort+store output locally; each reducer
-//                   runs one asynchronous fetch thread per mapper into
-//                   per-mapper buffers (BarrierSink); when all are in
-//                   (the barrier), buffers are merge-sorted and Reduce
-//                   runs per key group.
-//   barrier-less  — the same fetch threads push records into a single
+//   with barrier  — map tasks sort+store output locally; each reducer's
+//                   kFetchCopies copier threads pull finished maps off
+//                   a completion log into per-mapper buffers
+//                   (BarrierSink); when all are in (the barrier),
+//                   buffers are merge-sorted and Reduce runs per group.
+//   barrier-less  — the same copiers push records into a single
 //                   FIFO buffer (FifoSink); the reduce thread runs the
 //                   single-record Reduce on them in arrival order via
 //                   the core::BarrierlessDriver (sort bypassed).

@@ -83,16 +83,12 @@ class RecordBatch {
 
   /// Materialize owned Records (the with-barrier sort/merge path and
   /// tests; the barrier-less hot path never calls this).
-  void AppendRecordsTo(std::vector<Record>* out) const {
-    out->reserve(out->size() + entries_.size());
-    for (const Entry& e : entries_) {
-      out->emplace_back(e.key.ToString(), e.value.ToString());
-    }
-  }
-
   std::vector<Record> ToRecords() const {
     std::vector<Record> out;
-    AppendRecordsTo(&out);
+    out.reserve(entries_.size());
+    for (const Entry& e : entries_) {
+      out.emplace_back(e.key.ToString(), e.value.ToString());
+    }
     return out;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "common/stopwatch.h"
 #include "obs/metric_names.h"
 
 namespace bmr::mr {
@@ -14,17 +15,39 @@ void MapOutputTracker::MarkDone(int m, int node) {
   {
     MutexLock lock(mu_);
     state_[m].done = true;
-    state_[m].node = node;
-    state_[m].version++;
+    log_.push_back(Entry{m, node, ++state_[m].version});
   }
   cv_.NotifyAll();
 }
 
-MapOutputTracker::Location MapOutputTracker::WaitForMapDone(int m) {
+bool MapOutputTracker::Next(Cursor* cursor, Entry* entry) {
   MutexLock lock(mu_);
-  while (!cancelled_ && !state_[m].done) cv_.Wait(mu_);
-  if (cancelled_) return Location{-1, -1};
-  return Location{state_[m].node, state_[m].version};
+  while (!cancelled_ && !cursor->stopped) {
+    if (cursor->next == log_.size()) {
+      cv_.Wait(mu_);
+      continue;
+    }
+    *entry = log_[cursor->next++];
+    const TaskState& s = state_[entry->map];
+    if (s.done && s.version == entry->version) return true;
+  }
+  return false;
+}
+
+bool MapOutputTracker::Backoff(const Cursor* cursor, double ms) {
+  MutexLock lock(mu_);
+  for (Stopwatch waited; !cancelled_ && !cursor->stopped;) {
+    double left_ms = ms - waited.ElapsedMillis();
+    if (left_ms <= 0) return true;
+    (void)cv_.WaitFor(mu_, left_ms);
+  }
+  return false;
+}
+
+void MapOutputTracker::Stop(Cursor* cursor) {
+  MutexLock lock(mu_);
+  cursor->stopped = true;
+  cv_.NotifyAll();
 }
 
 bool MapOutputTracker::ReportLost(int m, int version) {
@@ -37,18 +60,9 @@ bool MapOutputTracker::ReportLost(int m, int version) {
 }
 
 void MapOutputTracker::Cancel() {
-  {
-    MutexLock lock(mu_);
-    cancelled_ = true;
-  }
-  cv_.NotifyAll();
-}
-
-int MapOutputTracker::num_done() const {
   MutexLock lock(mu_);
-  int n = 0;
-  for (const auto& s : state_) n += s.done ? 1 : 0;
-  return n;
+  cancelled_ = true;
+  cv_.NotifyAll();
 }
 
 namespace {

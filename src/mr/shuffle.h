@@ -14,26 +14,39 @@
 
 namespace bmr::mr {
 
-/// Tracks completion (and loss) of map tasks.  Reduce-side fetch
-/// threads block on WaitForMapDone; a fetch failure reports the output
-/// lost, which un-completes the task until the engine re-runs it —
-/// the map re-execution path of MapReduce fault tolerance.
+/// Tracks completion (and loss) of map tasks in an append-only log of
+/// committed attempts, which each reducer's copiers walk with a shared
+/// cursor.  A fetch failure reports the output lost, which un-completes
+/// the task until the engine re-runs it (map re-execution).
 class MapOutputTracker {
  public:
   explicit MapOutputTracker(int num_map_tasks);
 
-  /// Map task `m` (attempt `version`) finished on `node`.
+  /// Attempt `version` of map `map`, committed on `node`.
+  struct Entry {
+    int map = -1, node = -1, version = -1;
+  };
+  /// A fetch's place in the log, shared by its copiers; read and
+  /// written only under the tracker's mutex.
+  struct Cursor {
+    size_t next = 0;
+    bool stopped = false;
+  };
+
+  /// Map task `m` finished on `node`: bumps its version and logs it.
   void MarkDone(int m, int node) BMR_EXCLUDES(mu_);
 
-  /// Block until map `m` is done; returns (node, version).
-  /// version==-1 => the job was cancelled.
-  struct Location {
-    int node = -1;
-    int version = -1;
-  };
-  Location WaitForMapDone(int m) BMR_EXCLUDES(mu_);
+  /// Block for the next still-current entry past `cursor`, skipping
+  /// attempts since lost or re-run; false once cancelled or stopped.
+  bool Next(Cursor* cursor, Entry* entry) BMR_EXCLUDES(mu_);
 
-  /// A fetcher failed to read `m`'s output of attempt `version`.
+  /// Wait `ms`, not cut short by MarkDone; false if cancelled or stopped.
+  bool Backoff(const Cursor* cursor, double ms) BMR_EXCLUDES(mu_);
+
+  /// Release every waiter on `cursor`: its fetch needs nothing more.
+  void Stop(Cursor* cursor) BMR_EXCLUDES(mu_);
+
+  /// A copier failed to read `m`'s output of attempt `version`.
   /// Returns true if this call transitioned the task to lost (the
   /// caller must arrange a re-run); false if someone already did or a
   /// newer attempt exists.
@@ -42,21 +55,20 @@ class MapOutputTracker {
   /// Wake all waiters with a cancelled signal.
   void Cancel() BMR_EXCLUDES(mu_);
 
-  int num_done() const BMR_EXCLUDES(mu_);
   int num_map_tasks() const { return num_map_tasks_; }
 
  private:
   struct TaskState {
     bool done = false;
-    int node = -1;
     int version = 0;  // bumped on every MarkDone
   };
 
   const int num_map_tasks_;
   BMR_ACQUIRED_AFTER("mr.task_scheduler")
-  mutable OrderedMutex mu_{"mr.shuffle.tracker"};
+  OrderedMutex mu_{"mr.shuffle.tracker"};
   CondVar cv_;
   std::vector<TaskState> state_ BMR_GUARDED_BY(mu_);
+  std::vector<Entry> log_ BMR_GUARDED_BY(mu_);
   bool cancelled_ BMR_GUARDED_BY(mu_) = false;
 };
 

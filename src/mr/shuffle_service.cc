@@ -1,9 +1,7 @@
 #include "mr/shuffle_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <thread>
 
 #include "mr/segment_codec.h"
 
@@ -27,8 +25,6 @@ ShuffleService::ShuffleService(net::Transport* transport, int num_nodes,
   EncodingPipeline::Options enc_options;
   enc_options.codec = options_.codec;
   enc_options.block_bytes = options_.block_bytes;
-  enc_options.window_bytes = options_.encoder_window_bytes;
-  enc_options.threads = options_.encoder_threads;
   enc_options.tracer = options_.tracer;
   encoder_ = std::make_unique<EncodingPipeline>(enc_options);
   stores_.resize(num_nodes);
@@ -63,124 +59,117 @@ void ShuffleService::Publish(int map_task, int node,
 
 ShuffleService::Fetch::~Fetch() {
   Join();
-  service_->Unregister(sink_);
-}
-
-void ShuffleService::Fetch::Join() {
-  if (fetchers_) fetchers_->Wait();
+  MutexLock lock(service_->sinks_mu_);
+  std::erase(service_->live_fetches_, this);
 }
 
 std::unique_ptr<ShuffleService::Fetch> ShuffleService::StartFetch(
     int r, int node, ShuffleSink* sink, RelaunchFn relaunch, ErrorFn on_error,
     obs::SpanId parent_span) {
   // No public constructor: make_unique can't reach it.
-  auto fetch = std::unique_ptr<Fetch>(new Fetch(this, sink));
-  Fetch* f = fetch.get();
-  int nmaps = tracker_.num_map_tasks();
+  auto fetch = std::unique_ptr<Fetch>(
+      new Fetch(this, sink, tracker_.num_map_tasks()));
   {
     MutexLock lock(sinks_mu_);
-    live_sinks_.push_back(FetchEntry{f, sink, std::vector<int>(nmaps, -1)});
+    live_fetches_.push_back(fetch.get());
   }
-  fetch->fetchers_left_.store(nmaps);
-  fetch->fetchers_ = std::make_unique<ThreadPool>(nmaps);
-  for (int m = 0; m < nmaps; ++m) {
-    fetch->fetchers_->Submit([this, f, m, r, node, sink, relaunch, on_error,
-                              parent_span] {
-      int failures = 0;  // consecutive failures against loc.version
-      for (;;) {
-        MapOutputTracker::Location loc = tracker_.WaitForMapDone(m);
-        if (loc.version < 0) break;  // job cancelled
-        std::string segment;
-        Status st = options_.injector
-                        ? options_.injector->OnShuffleFetch(loc.node, node, m)
-                        : Status::Ok();
-        if (st.ok()) {
-          obs::ScopedSpan fetch_span(options_.tracer, obs::kSpanShuffleFetch,
-                                     "shuffle", m, parent_span);
-          obs::LatencyTimer rtt(options_.tracer, obs::kHShuffleFetchRttUs);
-          st = FetchSegment(transport_, loc.node, node, m, r, &segment, job_id_);
-        }
-        RecordBatch batch;
-        if (st.ok()) {
-          // Unwrap the block container: verify every block checksum,
-          // decompress into a pool-backed buffer, then decode the
-          // record framing zero-copy — the batch shares the pooled
-          // buffer and the last batch standing recycles it.
-          std::shared_ptr<const std::string> raw;
-          {
-            obs::LatencyTimer decode_time(options_.tracer,
-                                          obs::kHCodecDecodeUs);
-            st = DecodeShuffleSegment(Slice(segment), &raw);
-          }
-          if (st.ok()) st = DecodeSegment(std::move(raw), &batch);
-        }
-        if (st.ok()) {
-          f->bytes_.fetch_add(segment.size());  // wire (encoded) bytes
-          // Record the consumed attempt before handing records to the
-          // sink, so a concurrent loss report can never miss us.
-          NoteDelivered(f, m, loc.version);
-          sink->Accept(m, std::move(batch));
-          break;
-        }
-        if (options_.fail_on_fetch_error) {
-          on_error(st);
-          break;
-        }
-        if (failures < options_.max_fetch_retries) {
-          ++failures;
-          f->retries_.fetch_add(1);
-          double ms = std::min(
-              options_.backoff_ms * static_cast<double>(1 << (failures - 1)),
-              options_.backoff_max_ms);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(ms));
-          continue;
-        }
-        // Retries exhausted: the attempt's output is gone (node died or
-        // segments unreadable).  Declare it lost — first reporter taints
-        // any reducer that already consumed it and triggers
-        // re-execution — then wait for the new attempt.
-        failures = 0;
-        if (tracker_.ReportLost(m, loc.version)) {
-          TaintConsumers(m, loc.version);
-          relaunch(m, loc.node);
-        }
-      }
-      if (f->fetchers_left_.fetch_sub(1) == 1) sink->AllDelivered();
+  for (int c = 0; c < kFetchCopies; ++c) {
+    fetch->copiers_.Submit([=, this, f = fetch.get()] {
+      RunCopier(f, r, node, relaunch, on_error, parent_span);
     });
   }
   return fetch;
 }
 
+void ShuffleService::RunCopier(Fetch* f, int r, int node,
+                               const RelaunchFn& relaunch,
+                               const ErrorFn& on_error,
+                               obs::SpanId parent_span) {
+  for (MapOutputTracker::Entry loc; tracker_.Next(&f->cursor_, &loc);) {
+    const int m = loc.map;
+    for (int failures = 0;; ++failures) {  // of this attempt, in a row
+      std::string segment;
+      Status st = options_.injector
+                      ? options_.injector->OnShuffleFetch(loc.node, node, m)
+                      : Status::Ok();
+      if (st.ok()) {
+        obs::ScopedSpan fetch_span(options_.tracer, obs::kSpanShuffleFetch,
+                                   "shuffle", m, parent_span);
+        obs::LatencyTimer rtt(options_.tracer, obs::kHShuffleFetchRttUs);
+        st = FetchSegment(transport_, loc.node, node, m, r, &segment, job_id_);
+      }
+      RecordBatch batch;
+      if (st.ok()) {
+        // Unwrap the block container: verify every block checksum,
+        // decompress into a pool-backed buffer, then decode the
+        // record framing zero-copy — the batch shares the pooled
+        // buffer and the last batch standing recycles it.
+        std::shared_ptr<const std::string> raw;
+        {
+          obs::LatencyTimer decode_time(options_.tracer, obs::kHCodecDecodeUs);
+          st = DecodeShuffleSegment(Slice(segment), &raw);
+        }
+        if (st.ok()) st = DecodeSegment(std::move(raw), &batch);
+      }
+      if (st.ok()) {
+        f->bytes_.fetch_add(segment.size());  // wire (encoded) bytes
+        // Claim the attempt before handing records to the sink, so a
+        // concurrent loss report can never miss us; a re-run of a map
+        // this fetch already consumed is dropped here.
+        if (NoteDelivered(f, m, loc.version)) {
+          f->sink_->Accept(m, std::move(batch));
+        }
+        break;
+      }
+      if (options_.fail_on_fetch_error) {
+        on_error(st);
+        tracker_.Stop(&f->cursor_);
+        break;
+      }
+      if (failures == options_.max_fetch_retries) {
+        // Retries exhausted: the attempt's output is gone (node died or
+        // segments unreadable).  Declare it lost — first reporter taints
+        // any reducer that already consumed it and triggers
+        // re-execution, whose commit lands in the log as a new entry.
+        if (tracker_.ReportLost(m, loc.version)) {
+          TaintConsumers(m, loc.version);
+          relaunch(m, loc.node);
+        }
+        break;
+      }
+      f->retries_.fetch_add(1);
+      double ms = std::min(
+          options_.backoff_ms * static_cast<double>(1 << failures),
+          options_.backoff_max_ms);
+      if (!tracker_.Backoff(&f->cursor_, ms)) break;
+    }
+  }
+  if (f->copiers_left_.fetch_sub(1) == 1) f->sink_->AllDelivered();
+}
+
 void ShuffleService::Cancel() {
   tracker_.Cancel();
   MutexLock lock(sinks_mu_);
-  for (const FetchEntry& entry : live_sinks_) entry.sink->Cancel();
+  for (Fetch* f : live_fetches_) f->sink_->Cancel();
 }
 
-void ShuffleService::Unregister(ShuffleSink* sink) {
-  MutexLock lock(sinks_mu_);
-  live_sinks_.erase(std::find_if(
-      live_sinks_.begin(), live_sinks_.end(),
-      [sink](const FetchEntry& entry) { return entry.sink == sink; }));
-}
-
-void ShuffleService::NoteDelivered(Fetch* fetch, int map_task, int version) {
-  MutexLock lock(sinks_mu_);
-  for (FetchEntry& entry : live_sinks_) {
-    if (entry.fetch == fetch) {
-      entry.delivered[map_task] = version;
-      return;
-    }
+bool ShuffleService::NoteDelivered(Fetch* f, int map_task, int version) {
+  {
+    MutexLock lock(sinks_mu_);
+    if (f->delivered_[map_task] >= 0) return false;
+    f->delivered_[map_task] = version;
+    if (--f->undelivered_ > 0) return true;
   }
+  tracker_.Stop(&f->cursor_);
+  return true;
 }
 
 void ShuffleService::TaintConsumers(int map_task, int version) {
   MutexLock lock(sinks_mu_);
-  for (FetchEntry& entry : live_sinks_) {
-    if (entry.delivered[map_task] == version) {
-      entry.fetch->tainted_.store(true);
-      entry.sink->Cancel();
+  for (Fetch* f : live_fetches_) {
+    if (f->delivered_[map_task] == version) {
+      f->tainted_.store(true);
+      f->sink_->Cancel();
     }
   }
 }

@@ -1,10 +1,11 @@
 // Per-job shuffle layer: owns the per-node map-output segment stores
 // and their job-scoped RPC registration, the map-output tracker, and
-// the reduce-side fetch machinery (one asynchronous fetch thread per
-// mapper, §3.1).  The with-barrier and barrier-less reduce paths run
-// the *same* fetch code and differ only in the ShuffleSink they plug
-// in: per-mapper buffers that complete at the barrier, or one bounded
-// FIFO drained while fetchers still produce.
+// the reduce-side fetch machinery: kFetchCopies copier threads per
+// reducer pull finished maps off the tracker's completion log (Hadoop's
+// parallel copies, §3.1).  The with-barrier and barrier-less reduce
+// paths run the *same* fetch code and differ only in the ShuffleSink
+// they plug in: per-mapper buffers that complete at the barrier, or one
+// bounded FIFO drained while copiers still produce.
 //
 // Fault tolerance (§ fault tolerance of the paper): a failed fetch is
 // retried with capped exponential backoff; once retries are exhausted
@@ -44,6 +45,8 @@ inline constexpr uint64_t kDefaultShuffleBatchBytes = 256 << 10;
 /// Default FIFO capacity in *batches* (`shuffle.fifo_batches` knob):
 /// bounds reducer-side buffering at roughly capacity x batch budget.
 inline constexpr size_t kDefaultShuffleFifoBatches = 64;
+/// Copier threads per reducer fetch (Hadoop's reduce.parallel.copies).
+inline constexpr int kFetchCopies = 4;
 
 /// Destination of one reducer's fetched records.
 class ShuffleSink {
@@ -68,7 +71,7 @@ class BarrierSink final : public ShuffleSink {
     runs_[map_task] = std::move(batch);  // one producer per slot
     return true;
   }
-  void Cancel() override {}  // fetchers unblock via the tracker
+  void Cancel() override {}  // copiers unblock via the tracker
 
   std::vector<RecordBatch>& runs() { return runs_; }
 
@@ -76,7 +79,7 @@ class BarrierSink final : public ShuffleSink {
   std::vector<RecordBatch> runs_;
 };
 
-/// Barrier-less sink: the single FIFO buffer of §3.1; fetchers push
+/// Barrier-less sink: the single FIFO buffer of §3.1; copiers push
 /// while the reduce thread drains in arrival order.  The FIFO moves
 /// byte-budgeted RecordBatches, not records: one mapper's segment is
 /// carved into sub-batches of at most `batch_bytes` payload (sharing
@@ -137,9 +140,6 @@ struct ShuffleOptions {
   const Codec* codec = nullptr;
   /// Raw bytes per compression block (`shuffle.block_bytes` knob).
   size_t block_bytes = kDefaultShuffleBlockBytes;
-  /// Async encoder tuning (see mr/encoding_pipeline.h).
-  size_t encoder_window_bytes = 8 << 20;
-  int encoder_threads = 2;
 };
 
 class ShuffleService {
@@ -170,7 +170,6 @@ class ShuffleService {
 
   int job_id() const { return job_id_; }
   MapOutputTracker& tracker() { return tracker_; }
-  MapOutputStore& store(int node) { return *stores_[node]; }
   /// The resolved block codec ("none" unless configured otherwise).
   const Codec& codec() const { return *options_.codec; }
   /// Aggregate encode stats of every Publish drained so far (the
@@ -188,10 +187,11 @@ class ShuffleService {
   /// done (tests and benchmarks; the destructor drains implicitly).
   void DrainPublishes() { encoder_->Drain(); }
 
-  /// One reducer's in-flight fetch: per-mapper threads delivering into
-  /// `sink`.  The sink is registered for job-failure cancellation for
-  /// exactly the lifetime of this object (RAII) — a reducer returning
-  /// early can never leave a dangling sink behind for Cancel().
+  /// One reducer's in-flight fetch: kFetchCopies copiers deliver each
+  /// map's segment into `sink` once.  The sink is registered for
+  /// job-failure cancellation for exactly the lifetime of this object
+  /// (RAII) — a reducer returning early can never leave a dangling sink
+  /// behind for Cancel().
   class Fetch {
    public:
     ~Fetch();
@@ -199,8 +199,8 @@ class ShuffleService {
     Fetch(const Fetch&) = delete;
     Fetch& operator=(const Fetch&) = delete;
 
-    /// Block until every fetcher thread has finished.  Idempotent.
-    void Join();
+    /// Block until every copier has exited.  Idempotent.
+    void Join() { copiers_.Wait(); }
     uint64_t bytes_fetched() const { return bytes_.load(); }
     /// Fetch attempts that failed and were retried.
     uint64_t retries() const { return retries_.load(); }
@@ -211,24 +211,28 @@ class ShuffleService {
 
    private:
     friend class ShuffleService;
-    Fetch(ShuffleService* service, ShuffleSink* sink) :
-        service_(service), sink_(sink) {}
+    Fetch(ShuffleService* service, ShuffleSink* sink, int num_map_tasks)
+        : service_(service), sink_(sink), delivered_(num_map_tasks, -1),
+          undelivered_(num_map_tasks) {}
 
     ShuffleService* service_;
     ShuffleSink* sink_;
-    // One worker per mapper; the pool outlives Join() so a second
-    // Join() is a cheap no-op Wait().
-    std::unique_ptr<ThreadPool> fetchers_;
+    MapOutputTracker::Cursor cursor_;  // shared by the copiers
+    // Under service_->sinks_mu_: the attempt of each map this fetch
+    // consumed (-1 = none) and the number of maps still to consume.
+    std::vector<int> delivered_;
+    int undelivered_;
     std::atomic<uint64_t> bytes_{0};
     std::atomic<uint64_t> retries_{0};
     std::atomic<bool> tainted_{false};
-    std::atomic<int> fetchers_left_{0};
+    std::atomic<int> copiers_left_{kFetchCopies};
+    ThreadPool copiers_{kFetchCopies};  // outlives Join(): rejoin is a no-op
   };
 
   /// Start reducer `r` (running on `node`)'s fetch of every mapper's
   /// partition-`r` segment into `sink`.  `parent_span` (usually the
   /// reducer's task span) becomes the parent of every shuffle.fetch
-  /// span — fetchers run on their own threads, so the implicit
+  /// span — copiers run on their own threads, so the implicit
   /// same-thread parent chain can't reach them.
   std::unique_ptr<Fetch> StartFetch(int r, int node, ShuffleSink* sink,
                                     RelaunchFn relaunch, ErrorFn on_error,
@@ -237,23 +241,21 @@ class ShuffleService {
   /// Job failure: wake every tracker waiter and cancel every sink with
   /// a fetch in flight.
   ///
-  /// Sinks are cancelled while sinks_mu_ is held: Unregister (from
-  /// ~Fetch) may destroy a sink the moment it leaves live_sinks_, so
-  /// releasing the lock around the callback would race destruction.
+  /// Sinks are cancelled while sinks_mu_ is held: ~Fetch may destroy a
+  /// sink the moment it leaves live_fetches_, so releasing the lock
+  /// around the callback would race destruction.
   /// Sink::Cancel implementations must therefore never call back into
   /// ShuffleService (lock-order leaf; see docs/GUIDE.md).
   void Cancel() BMR_EXCLUDES(sinks_mu_);
 
  private:
-  struct FetchEntry {
-    Fetch* fetch = nullptr;
-    ShuffleSink* sink = nullptr;
-    /// delivered[m] = attempt version this fetch consumed (-1 = none).
-    std::vector<int> delivered;
-  };
-
-  void Unregister(ShuffleSink* sink) BMR_EXCLUDES(sinks_mu_);
-  void NoteDelivered(Fetch* fetch, int map_task, int version)
+  /// One copier: fetch log entries until the cursor stops or the job is
+  /// cancelled; the last copier out signals AllDelivered.
+  void RunCopier(Fetch* f, int r, int node, const RelaunchFn& relaunch,
+                 const ErrorFn& on_error, obs::SpanId parent_span);
+  /// Claim `map_task` attempt `version` for `fetch` unless it consumed
+  /// an attempt of that map already; the last claim stops its cursor.
+  bool NoteDelivered(Fetch* fetch, int map_task, int version)
       BMR_EXCLUDES(sinks_mu_);
   /// Map `map_task` attempt `version` was lost: taint and cancel every
   /// live fetch that already consumed it.  Same lock-order leaf rule
@@ -271,7 +273,7 @@ class ShuffleService {
   std::unique_ptr<EncodingPipeline> encoder_;
 
   OrderedMutex sinks_mu_{"mr.shuffle.sinks"};
-  std::vector<FetchEntry> live_sinks_ BMR_GUARDED_BY(sinks_mu_);
+  std::vector<Fetch*> live_fetches_ BMR_GUARDED_BY(sinks_mu_);
 };
 
 }  // namespace bmr::mr

@@ -208,22 +208,14 @@ Status ReduceTaskExecutor::RunBarrier(int r, int node,
   double shuffle_start = metrics_->Now();
 
   // Per-mapper buffers filled by the shared fetch substrate; complete
-  // only when every fetcher is in — the barrier.
+  // only when every map's run is in — the barrier.
   BarrierSink sink(shuffle_->tracker().num_map_tasks());
-  bool tainted = false;
-  {
-    auto fetch = shuffle_->StartFetch(
-        r, node, &sink, relaunch_,
-        [this](const Status& st) { control_->Fail(st); }, obs::CurrentSpan());
-    fetch->Join();
-    ctx->counters()->Add(kCtrShuffleBytes, fetch->bytes_fetched());
-    metrics_->AddCounter(kCtrShuffleFetchRetries, fetch->retries());
-    tainted = fetch->tainted();
-  }
+  auto fetch = shuffle_->StartFetch(
+      r, node, &sink, relaunch_,
+      [this](const Status& st) { control_->Fail(st); }, obs::CurrentSpan());
+  Status fetched = FinishFetch(std::move(fetch), ctx);
   if (control_->cancelled()) return Status::Ok();
-  if (tainted) {
-    return Status::Unavailable("reduce consumed output of a lost map attempt");
-  }
+  BMR_RETURN_IF_ERROR(fetched);
   double barrier_time = metrics_->Now();
   metrics_->RecordEvent(Phase::kShuffle, r, node, shuffle_start, barrier_time);
 
@@ -267,7 +259,7 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
                                           ReduceTaskContext* ctx) {
   double start = metrics_->Now();
 
-  // Single FIFO buffer shared by all fetchers; the reduce thread (this
+  // Single FIFO buffer shared by the copiers; the reduce thread (this
   // one) drains it a byte-budgeted batch at a time, in arrival order
   // (§3.1 design decision (2)).  The sink registration lives exactly
   // as long as `fetch` (RAII), so an early return can never leave a
@@ -341,16 +333,10 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
     }
     batches.clear();  // drop the batch views — frees fetched buffers
   }
-  fetch->Join();
-  ctx->counters()->Add(kCtrShuffleBytes, fetch->bytes_fetched());
-  metrics_->AddCounter(kCtrShuffleFetchRetries, fetch->retries());
-  bool tainted = fetch->tainted();
-  fetch.reset();  // deregister the sink before it goes out of scope
+  Status fetched = FinishFetch(std::move(fetch), ctx);
   if (control_->cancelled()) return Status::Ok();
   BMR_RETURN_IF_ERROR(consume_st);
-  if (tainted) {
-    return Status::Unavailable("reduce consumed output of a lost map attempt");
-  }
+  BMR_RETURN_IF_ERROR(fetched);
 
   ctx->counters()->Add(kCtrReduceInputRecords, driver.records_consumed());
   Status st;
@@ -371,6 +357,15 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
   metrics_->RecordEvent(Phase::kShuffleReduce, r, node, start,
                         metrics_->Now());
   return Status::Ok();
+}
+
+Status ReduceTaskExecutor::FinishFetch(
+    std::unique_ptr<ShuffleService::Fetch> fetch, ReduceTaskContext* ctx) {
+  fetch->Join();
+  ctx->counters()->Add(kCtrShuffleBytes, fetch->bytes_fetched());
+  metrics_->AddCounter(kCtrShuffleFetchRetries, fetch->retries());
+  if (!fetch->tainted()) return Status::Ok();
+  return Status::Unavailable("reduce consumed output of a lost map attempt");
 }
 
 Status ReduceTaskExecutor::WriteOutput(int r, int node,

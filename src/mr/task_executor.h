@@ -77,6 +77,8 @@ class ReduceTaskExecutor {
  private:
   [[nodiscard]] Status RunBarrier(int r, int node, ReduceTaskContext* ctx);
   [[nodiscard]] Status RunBarrierless(int r, int node, ReduceTaskContext* ctx);
+  [[nodiscard]] Status FinishFetch(
+      std::unique_ptr<ShuffleService::Fetch> fetch, ReduceTaskContext* ctx);
   [[nodiscard]] Status WriteOutput(int r, int node, const std::vector<Record>& records);
 
   ClusterContext* cluster_;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/serde.h"
@@ -236,49 +238,106 @@ TEST(ReduceGroupsTest, CustomGroupComparatorMergesPrefixGroups) {
   EXPECT_EQ(ctx.records[0].key, "a1");  // first key of the group
 }
 
-TEST(MapOutputTrackerTest, WaitBlocksUntilDone) {
-  MapOutputTracker tracker(2);
-  std::atomic<int> node{-2};
-  std::thread waiter([&] {
-    auto loc = tracker.WaitForMapDone(1);
-    node = loc.node;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(node.load(), -2);
-  tracker.MarkDone(1, 5);
-  waiter.join();
-  EXPECT_EQ(node.load(), 5);
-  EXPECT_EQ(tracker.num_done(), 1);
+TEST(MapOutputTrackerTest, EntriesComeBackInCompletionOrder) {
+  MapOutputTracker tracker(3);
+  tracker.MarkDone(2, 5);
+  tracker.MarkDone(0, 6);
+  tracker.MarkDone(1, 7);
+  MapOutputTracker::Cursor cursor;
+  MapOutputTracker::Entry entry;
+  std::vector<std::pair<int, int>> got;  // (map, node)
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(tracker.Next(&cursor, &entry));
+    got.emplace_back(entry.map, entry.node);
+  }
+  EXPECT_EQ(got, (std::vector<std::pair<int, int>>{{2, 5}, {0, 6}, {1, 7}}));
+  // A second cursor walks the same log independently.
+  MapOutputTracker::Cursor other;
+  ASSERT_TRUE(tracker.Next(&other, &entry));
+  EXPECT_EQ(entry.map, 2);
 }
 
-TEST(MapOutputTrackerTest, ReportLostVersioning) {
+TEST(MapOutputTrackerTest, LostThenRerunMapYieldsOnlyItsNewVersion) {
+  MapOutputTracker tracker(2);
+  tracker.MarkDone(0, 3);
+  MapOutputTracker::Cursor first;
+  MapOutputTracker::Entry lost;
+  ASSERT_TRUE(tracker.Next(&first, &lost));
+  EXPECT_EQ(lost.node, 3);
+  ASSERT_TRUE(tracker.ReportLost(0, lost.version));
+  tracker.MarkDone(1, 4);
+  tracker.MarkDone(0, 7);  // the re-run, on another node
+  // A cursor that never saw the lost attempt skips its entry.
+  MapOutputTracker::Cursor cursor;
+  MapOutputTracker::Entry entry;
+  ASSERT_TRUE(tracker.Next(&cursor, &entry));
+  EXPECT_EQ(entry.map, 1);
+  ASSERT_TRUE(tracker.Next(&cursor, &entry));
+  EXPECT_EQ(entry.map, 0);
+  EXPECT_EQ(entry.node, 7);
+  EXPECT_NE(entry.version, lost.version);
+  // Nothing is left: the stop releases the next call at once.
+  tracker.Stop(&cursor);
+  EXPECT_FALSE(tracker.Next(&cursor, &entry));
+}
+
+TEST(MapOutputTrackerTest, StaleReportLostIsIgnored) {
   MapOutputTracker tracker(1);
   tracker.MarkDone(0, 3);
-  auto loc = tracker.WaitForMapDone(0);
-  EXPECT_EQ(loc.node, 3);
+  MapOutputTracker::Cursor cursor;
+  MapOutputTracker::Entry v1;
+  ASSERT_TRUE(tracker.Next(&cursor, &v1));
   // First reporter wins, duplicates are stale.
-  EXPECT_TRUE(tracker.ReportLost(0, loc.version));
-  EXPECT_FALSE(tracker.ReportLost(0, loc.version));
-  EXPECT_EQ(tracker.num_done(), 0);
-  // Re-run on another node bumps the version.
+  EXPECT_TRUE(tracker.ReportLost(0, v1.version));
+  EXPECT_FALSE(tracker.ReportLost(0, v1.version));
   tracker.MarkDone(0, 7);
-  auto loc2 = tracker.WaitForMapDone(0);
-  EXPECT_EQ(loc2.node, 7);
-  EXPECT_NE(loc2.version, loc.version);
-  // A report against the old attempt is ignored.
-  EXPECT_FALSE(tracker.ReportLost(0, loc.version));
+  MapOutputTracker::Entry v2;
+  ASSERT_TRUE(tracker.Next(&cursor, &v2));
+  // A report against the old attempt leaves the new one current.
+  EXPECT_FALSE(tracker.ReportLost(0, v1.version));
+  MapOutputTracker::Cursor fresh;
+  MapOutputTracker::Entry entry;
+  ASSERT_TRUE(tracker.Next(&fresh, &entry));
+  EXPECT_EQ(entry.version, v2.version);
 }
 
-TEST(MapOutputTrackerTest, CancelWakesWaiters) {
+TEST(MapOutputTrackerTest, CancelAndStopReleaseBlockedWaiters) {
   MapOutputTracker tracker(1);
-  std::atomic<int> version{0};
-  std::thread waiter([&] {
-    version = tracker.WaitForMapDone(0).version;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  MapOutputTracker::Cursor stopped;
+  MapOutputTracker::Cursor cancelled;
+  std::atomic<int> released{0};
+  auto wait = [&](MapOutputTracker::Cursor* cursor) {
+    MapOutputTracker::Entry entry;
+    EXPECT_FALSE(tracker.Next(cursor, &entry));
+    released.fetch_add(1);
+  };
+  std::thread a(wait, &stopped);
+  std::thread b(wait, &cancelled);
+  // The log is empty, so neither waiter can return before this.
+  tracker.Stop(&stopped);
+  a.join();
+  EXPECT_EQ(released.load(), 1);
   tracker.Cancel();
-  waiter.join();
-  EXPECT_EQ(version.load(), -1);
+  b.join();
+  EXPECT_EQ(released.load(), 2);
+  // A cancelled tracker releases later callers and backoffs too.
+  MapOutputTracker::Entry entry;
+  MapOutputTracker::Cursor late;
+  EXPECT_FALSE(tracker.Next(&late, &entry));
+  EXPECT_FALSE(tracker.Backoff(&late, 60000.0));
+}
+
+TEST(MapOutputTrackerTest, BackoffRunsItsFullDelayDespiteCompletions) {
+  MapOutputTracker tracker(64);
+  MapOutputTracker::Cursor cursor;
+  auto start = std::chrono::steady_clock::now();
+  std::thread marker([&] {
+    for (int m = 0; m < 64; ++m) tracker.MarkDone(m, 0);
+  });
+  EXPECT_TRUE(tracker.Backoff(&cursor, 20.0));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+  marker.join();
 }
 
 TEST(MapOutputStoreTest, ShuffleServiceRoundTrip) {

@@ -3,11 +3,15 @@
 // fix), and job-scoped segment stores keeping concurrent jobs apart.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/mutex.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "mr/map_output.h"
@@ -171,6 +175,175 @@ TEST(ShuffleServiceTest, ExhaustedRetriesSurfaceWhenFailFastIsSet) {
   fetch->Join();
   EXPECT_FALSE(seen.ok());
   EXPECT_EQ(fetch->retries(), 0u);
+}
+
+/// Records which thread delivered each map, and how often.
+class RecordingSink final : public ShuffleSink {
+ public:
+  explicit RecordingSink(int num_map_tasks) : deliveries_(num_map_tasks) {}
+
+  bool Accept(int map_task, RecordBatch batch) override {
+    (void)batch;
+    MutexLock lock(mu_);
+    ++deliveries_[map_task];
+    threads_.insert(std::this_thread::get_id());
+    return true;
+  }
+  void Cancel() override {}
+
+  std::vector<int> deliveries() {
+    MutexLock lock(mu_);
+    return deliveries_;
+  }
+  size_t threads() {
+    MutexLock lock(mu_);
+    return threads_.size();
+  }
+
+ private:
+  Mutex mu_;
+  std::vector<int> deliveries_ BMR_GUARDED_BY(mu_);
+  std::set<std::thread::id> threads_ BMR_GUARDED_BY(mu_);
+};
+
+TEST(ShuffleServiceTest, ManyMapsArriveOnceFromABoundedSetOfCopiers) {
+  constexpr int kMaps = 256;
+  auto transport = testutil::MakeTransport(3);
+  ShuffleService service(transport.get(), 3, kMaps, /*job_id=*/12);
+  RecordingSink sink(kMaps);
+  auto fetch = service.StartFetch(0, /*node=*/2, &sink, NoRelaunch(),
+                                  NoError());
+  for (int m = kMaps - 1; m >= 0; --m) {
+    service.Publish(m, 1, {MakeSegment({{std::to_string(m), "v"}})});
+  }
+  fetch->Join();
+  EXPECT_EQ(sink.deliveries(), std::vector<int>(kMaps, 1));
+  EXPECT_GE(sink.threads(), 1u);
+  EXPECT_LE(sink.threads(), static_cast<size_t>(kFetchCopies));
+  EXPECT_FALSE(fetch->tainted());
+}
+
+TEST(ShuffleServiceTest, CancelInterruptsRetryBackoff) {
+  auto transport = testutil::MakeTransport(3);
+  faults::FaultEvent timeout;
+  timeout.kind = faults::FaultKind::kFetchTimeout;
+  timeout.count = 1000;  // every fetch fails
+  faults::FaultPlan plan;
+  plan.events = {timeout};
+  faults::FaultInjector injector(plan);
+
+  ShuffleOptions options;
+  options.injector = &injector;
+  options.backoff_ms = 60000;
+  options.backoff_max_ms = 60000;
+  ShuffleService service(transport.get(), 3, /*num_map_tasks=*/2,
+                         /*job_id=*/13, options);
+  service.Publish(0, 1, {MakeSegment({{"k", "v"}})});
+  service.Publish(1, 1, {MakeSegment({{"l", "w"}})});
+
+  FifoSink sink(4);
+  auto fetch = service.StartFetch(0, /*node=*/2, &sink, NoRelaunch(),
+                                  NoError());
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fetch->retries() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(fetch->retries(), 1u);
+  auto cancelled_at = std::chrono::steady_clock::now();
+  service.Cancel();
+  fetch->Join();
+  EXPECT_LT(std::chrono::steady_clock::now() - cancelled_at,
+            std::chrono::seconds(10));
+  EXPECT_TRUE(DrainFifo(sink).empty());  // the cancel closed it
+
+  // A fetch started after the cancel ends at once, closing its sink.
+  FifoSink late_sink(4);
+  auto late = service.StartFetch(1, /*node=*/2, &late_sink, NoRelaunch(),
+                                 NoError());
+  late->Join();
+  EXPECT_TRUE(late_sink.fifo().closed());
+}
+
+TEST(ShuffleServiceTest, LostMapIsRerunAndTaintsItsEarlierConsumer) {
+  constexpr int kMaps = 16;
+  constexpr int kLostMap = 5;
+  auto transport = testutil::MakeTransport(3);
+  // Only map kLostMap lives on node 1.  The first fetch from node 1
+  // (the consumer's) succeeds; the next three fail, which exhausts the
+  // second fetch's two retries.
+  faults::FaultEvent timeout;
+  timeout.kind = faults::FaultKind::kFetchTimeout;
+  timeout.node = 1;
+  timeout.after_calls = 1;
+  timeout.count = 3;
+  faults::FaultPlan plan;
+  plan.events = {timeout};
+  faults::FaultInjector injector(plan);
+
+  ShuffleOptions options;
+  options.injector = &injector;
+  options.max_fetch_retries = 2;
+  options.backoff_ms = 0.1;
+  options.backoff_max_ms = 0.1;
+  ShuffleService service(transport.get(), 3, kMaps, /*job_id=*/14, options);
+  auto segment = [](int m) {
+    return MakeSegment({{std::to_string(m), "v"}});
+  };
+  for (int m = 0; m < kMaps; ++m) {
+    service.Publish(m, m == kLostMap ? 1 : 0, {segment(m)});
+  }
+
+  RecordingSink consumer_sink(kMaps);
+  auto consumer = service.StartFetch(0, /*node=*/2, &consumer_sink,
+                                     NoRelaunch(), NoError());
+  consumer->Join();
+  EXPECT_EQ(consumer_sink.deliveries(), std::vector<int>(kMaps, 1));
+  EXPECT_FALSE(consumer->tainted());
+
+  std::atomic<int> relaunches{0};
+  RecordingSink sink(kMaps);
+  auto fetch = service.StartFetch(
+      0, /*node=*/2, &sink,
+      [&](int m, int node) {
+        EXPECT_EQ(m, kLostMap);
+        EXPECT_EQ(node, 1);
+        relaunches.fetch_add(1);
+        service.Publish(m, 0, {segment(m)});  // the re-run, on node 0
+      },
+      NoError());
+  fetch->Join();
+  EXPECT_EQ(relaunches.load(), 1);
+  EXPECT_EQ(sink.deliveries(), std::vector<int>(kMaps, 1));
+  EXPECT_FALSE(fetch->tainted());
+  EXPECT_EQ(fetch->retries(), 2u);
+  EXPECT_TRUE(consumer->tainted());  // it consumed the lost attempt
+}
+
+TEST(ShuffleServiceTest, RerunOfAConsumedMapIsNotDeliveredAgain) {
+  auto transport = testutil::MakeTransport(3);
+  ShuffleService service(transport.get(), 3, /*num_map_tasks=*/2,
+                         /*job_id=*/15);
+  RecordingSink sink(2);
+  auto fetch = service.StartFetch(0, /*node=*/2, &sink, NoRelaunch(),
+                                  NoError());
+  service.Publish(1, 1, {MakeSegment({{"b", "1"}})});
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (sink.deliveries()[1] == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(sink.deliveries()[1], 1);
+  // Another reducer loses the consumed attempt; its re-run commits
+  // while this fetch still waits for map 0, so a copier takes it.
+  MapOutputTracker::Cursor cursor;
+  MapOutputTracker::Entry consumed;
+  ASSERT_TRUE(service.tracker().Next(&cursor, &consumed));
+  ASSERT_TRUE(service.tracker().ReportLost(1, consumed.version));
+  service.Publish(1, 0, {MakeSegment({{"b", "1"}})});
+  service.DrainPublishes();
+  service.Publish(0, 0, {MakeSegment({{"a", "0"}})});
+  fetch->Join();
+  EXPECT_EQ(sink.deliveries(), (std::vector<int>{1, 1}));
 }
 
 TEST(ShuffleServiceTest, ConcurrentJobsKeepSeparateSegmentStores) {
