@@ -110,7 +110,7 @@ for preset in "${presets[@]}"; do
     # unit suites.
     cmake --preset default >/dev/null
     cmake --build --preset default -j "${jobs}" >/dev/null
-    for t in shuffle_service_test mr_unit_test multijob_test \
+    for t in shuffle_service_test mr_unit_test multijob_test engine_test \
              fuzz_decoders_test arena_test; do
       echo "== codec: ${t} =="
       BMR_SHUFFLE_CODEC=lz4 "./build/tests/${t}"

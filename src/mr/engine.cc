@@ -315,9 +315,6 @@ JobResult JobExecution::Run() {
     metrics_.RequestDump(std::string("job.failure: ") + status.message());
   }
 
-  // Every reducer has drained and every map completed: flush any encode
-  // still in flight so the codec byte counts below are complete.
-  shuffle_->DrainPublishes();
   static_cast<JobMetrics&>(result) = metrics_.Snapshot();
   result.rpc_handler_reregistrations =
       cluster_->transport->handler_reregistrations();

@@ -77,7 +77,7 @@ class MapOutputCollector {
 class MapOutputStore {
  public:
   /// Segments are held (and served) by shared pointer so pool-backed
-  /// encoded buffers flow from the encoding pipeline to the RPC
+  /// encoded buffers flow from ShuffleService::Publish to the RPC
   /// handler without a copy and recycle when the job's store dies.
   void Put(int map_task, int partition,
            std::shared_ptr<const std::string> segment) BMR_EXCLUDES(mu_);

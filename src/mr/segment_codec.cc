@@ -27,7 +27,6 @@ void EncodeShuffleSegment(Slice raw, const Codec& codec, size_t block_bytes,
   enc.PutU8(codec.id());
   enc.PutVarint64(raw.size());
   ByteBuffer scratch;
-  SegmentEncodeStats local;
   while (!raw.empty()) {
     const size_t take = raw.size() < block_bytes ? raw.size() : block_bytes;
     const Slice block(raw.data(), take);
@@ -40,13 +39,10 @@ void EncodeShuffleSegment(Slice raw, const Codec& codec, size_t block_bytes,
     enc.PutVarint64(enc_bytes.size());
     enc.PutFixed64(Fnv1a64(enc_bytes));
     out->Append(enc_bytes);
-    ++local.blocks;
-    if (compressed) ++local.compressed_blocks;
   }
   if (stats != nullptr) {
-    local.raw_bytes = raw_total;
-    local.wire_bytes = out->size() - start;
-    *stats = local;
+    stats->raw_bytes = raw_total;
+    stats->wire_bytes = out->size() - start;
   }
 }
 

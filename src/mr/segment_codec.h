@@ -34,8 +34,6 @@ inline constexpr size_t kDefaultShuffleBlockBytes = 64 << 10;
 struct SegmentEncodeStats {
   uint64_t raw_bytes = 0;
   uint64_t wire_bytes = 0;
-  uint64_t blocks = 0;
-  uint64_t compressed_blocks = 0;  ///< blocks the codec actually shrank
 };
 
 /// Encode `raw` (a framed record stream) into the block container,

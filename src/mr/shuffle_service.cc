@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
-#include "mr/segment_codec.h"
+#include "common/arena.h"
 
 namespace bmr::mr {
 
@@ -22,11 +23,6 @@ ShuffleService::ShuffleService(net::Transport* transport, int num_nodes,
     auto codec = FindCodec(env == nullptr ? "" : env);
     options_.codec = codec.ok() ? *codec : *FindCodec("none");
   }
-  EncodingPipeline::Options enc_options;
-  enc_options.codec = options_.codec;
-  enc_options.block_bytes = options_.block_bytes;
-  enc_options.tracer = options_.tracer;
-  encoder_ = std::make_unique<EncodingPipeline>(enc_options);
   stores_.resize(num_nodes);
   for (int n = 0; n < num_nodes; ++n) {
     stores_[n] = std::make_unique<MapOutputStore>();
@@ -36,7 +32,6 @@ ShuffleService::ShuffleService(net::Transport* transport, int num_nodes,
 }
 
 ShuffleService::~ShuffleService() {
-  encoder_->Drain();  // in-flight encodes still Put into stores_
   for (int n = 0; n < num_nodes_; ++n) {
     UnregisterShuffleService(transport_, n, job_id_);
   }
@@ -44,17 +39,30 @@ ShuffleService::~ShuffleService() {
 
 void ShuffleService::Publish(int map_task, int node,
                              std::vector<std::string> segments) {
-  encoder_->Submit(
-      std::move(segments),
-      [this, map_task, node](EncodingPipeline::Encoded encoded) {
-        for (size_t p = 0; p < encoded.size(); ++p) {
-          stores_[node]->Put(map_task, static_cast<int>(p),
-                             std::move(encoded[p]));
-        }
-        // Only after every partition is stored: a fetcher woken by
-        // MarkDone must find its segment.
-        tracker_.MarkDone(map_task, node);
-      });
+  {
+    obs::LatencyTimer encode_time(options_.tracer, obs::kHCodecEncodeUs);
+    ByteBuffer scratch;
+    for (size_t p = 0; p < segments.size(); ++p) {
+      scratch.Clear();
+      SegmentEncodeStats stats;
+      EncodeShuffleSegment(Slice(segments[p]), *options_.codec,
+                           options_.block_bytes, &scratch, &stats);
+      std::string().swap(segments[p]);  // free the raw stream now
+      std::shared_ptr<std::string> buf =
+          BufferPool::Global()->Acquire(scratch.size());
+      if (scratch.size() != 0) {
+        std::memcpy(buf->data(), scratch.data(), scratch.size());
+      }
+      stores_[node]->Put(map_task, static_cast<int>(p), std::move(buf));
+      // Counted before MarkDone: once the last map is fetchable the
+      // job's totals are complete.
+      encoded_raw_bytes_.fetch_add(stats.raw_bytes);
+      encoded_wire_bytes_.fetch_add(stats.wire_bytes);
+    }
+  }
+  // Only after every partition is stored: a fetcher woken by MarkDone
+  // must find its segment.
+  tracker_.MarkDone(map_task, node);
 }
 
 ShuffleService::Fetch::~Fetch() {

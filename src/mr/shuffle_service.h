@@ -29,9 +29,9 @@
 #include "concurrency/bounded_queue.h"
 #include "concurrency/thread_pool.h"
 #include "faults/fault_injector.h"
-#include "mr/encoding_pipeline.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
+#include "mr/segment_codec.h"
 #include "mr/shuffle.h"
 #include "net/transport.h"
 #include "obs/metric_names.h"
@@ -170,22 +170,18 @@ class ShuffleService {
 
   int job_id() const { return job_id_; }
   MapOutputTracker& tracker() { return tracker_; }
-  /// The resolved block codec ("none" unless configured otherwise).
-  const Codec& codec() const { return *options_.codec; }
-  /// Aggregate encode stats of every Publish drained so far (the
+  /// Aggregate encode stats of every Publish that has returned (the
   /// engine exports them as the bmr_codec_* gauges at job end).
-  SegmentEncodeStats encode_stats() const { return encoder_->stats(); }
+  SegmentEncodeStats encode_stats() const {
+    return {encoded_raw_bytes_.load(), encoded_wire_bytes_.load()};
+  }
 
   /// Publish one committed map attempt's per-partition segments from
-  /// `node`: the raw record streams are handed to the async encoding
-  /// pipeline, and the task is marked fetchable once its encoded
-  /// segments are in the store — so compression overlaps map execution
-  /// and fetchers can never observe a half-encoded task.
+  /// `node`, on the calling map thread: each raw record stream is
+  /// encoded into the block container, every partition is stored, and
+  /// only then is the task marked done.  When Publish returns the map
+  /// is fetchable, and fetchers can never observe a half-stored task.
   void Publish(int map_task, int node, std::vector<std::string> segments);
-
-  /// Block until every Publish so far is encoded, stored and marked
-  /// done (tests and benchmarks; the destructor drains implicitly).
-  void DrainPublishes() { encoder_->Drain(); }
 
   /// One reducer's in-flight fetch: kFetchCopies copiers deliver each
   /// map's segment into `sink` once.  The sink is registered for
@@ -268,9 +264,8 @@ class ShuffleService {
   Options options_;
   MapOutputTracker tracker_;
   std::vector<std::unique_ptr<MapOutputStore>> stores_;
-  // After stores_: the pipeline's destructor drains in-flight encodes
-  // (which Put into stores_) before the stores can die.
-  std::unique_ptr<EncodingPipeline> encoder_;
+  std::atomic<uint64_t> encoded_raw_bytes_{0};
+  std::atomic<uint64_t> encoded_wire_bytes_{0};
 
   OrderedMutex sinks_mu_{"mr.shuffle.sinks"};
   std::vector<Fetch*> live_fetches_ BMR_GUARDED_BY(sinks_mu_);

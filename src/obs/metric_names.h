@@ -44,8 +44,9 @@ inline constexpr const char* kHNetConnectUs = "bmr_net_connect_us";
 inline constexpr const char* kHNetFrameDecodeUs = "bmr_net_frame_decode_us";
 /// One reducer part-file write (serialize + DFS append + close).
 inline constexpr const char* kHOutputWriteUs = "bmr_output_write_us";
-/// One map attempt's segments through the block codec (all partitions,
-/// async encoder thread — see mr/encoding_pipeline.h).
+/// One committed map attempt's segments through the block codec into
+/// the store (all partitions, on the map thread in ShuffleService::
+/// Publish).
 inline constexpr const char* kHCodecEncodeUs = "bmr_codec_encode_us";
 /// One fetched segment's checksum verify + decompress, fetcher thread.
 inline constexpr const char* kHCodecDecodeUs = "bmr_codec_decode_us";

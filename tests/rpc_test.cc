@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <string>
@@ -230,10 +231,19 @@ TEST_P(TransportTest, KillNodeRacingCallCompletesOrNotFound) {
       }
     });
   }
-  // Let calls get in flight, then yank the node out from under them.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Wait for calls to complete, yank the node out from under them, and
+  // stop once a caller has seen it dead.  Bounded waits on the counters,
+  // not fixed sleeps: a loaded host may not schedule the callers at all
+  // within a few milliseconds.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (completed.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   transport->KillNode(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (not_found.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   stop.store(true);
   for (auto& t : callers) t.join();
   EXPECT_GT(completed.load(), 0);
@@ -292,13 +302,15 @@ TEST(TcpTransportTest, InjectedDuplicateIsOneExtraWireSend) {
   ASSERT_TRUE(transport->Call(0, 1, "read", "abcde", &resp).ok());
 
   EXPECT_EQ(injector.injected(faults::FaultKind::kRpcDuplicate), 1u);
-  // The duplicate's replayed response is written asynchronously; give
-  // the server a moment to finish the third wire send before checking.
-  LinkStats stats;
-  for (int i = 0; i < 200; ++i) {
+  // The duplicate's replayed response is written asynchronously; wait,
+  // under a deadline, for the server to finish the third wire send.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  LinkStats stats = transport->GetLinkStats(0, 1);
+  while (stats.response_bytes < 21u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
     stats = transport->GetLinkStats(0, 1);
-    if (stats.response_bytes >= 21u) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   // Call 1 put two frames on the wire (original + injected duplicate),
   // call 2 put one: three wire sends, each counted exactly once.

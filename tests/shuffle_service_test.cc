@@ -77,6 +77,62 @@ TEST(ShuffleServiceTest, FifoSinkReceivesEveryMapOutputThenCloses) {
   EXPECT_EQ(got, want);
 }
 
+// Publish encodes on the calling thread: the moment it returns, every
+// partition of the map is in the store and decodes to the raw bytes,
+// with no drain in between.  Concurrent publishers leave encode_stats()
+// at the exact totals of what they published and what is served.
+TEST(ShuffleServiceTest, PublishReturnsWithTheMapFetchable) {
+  constexpr int kThreads = 4;
+  constexpr int kMapsPerThread = 64;
+  constexpr int kPartitions = 3;
+  constexpr int kNodes = 3;
+  auto transport = testutil::MakeTransport(kNodes);
+  ShuffleService service(transport.get(), kNodes, kThreads * kMapsPerThread,
+                         /*job_id=*/21);
+  std::atomic<uint64_t> raw_bytes{0};
+  std::atomic<uint64_t> wire_bytes{0};
+  std::atomic<int> fetched{0};
+  std::vector<std::thread> publishers;
+  for (int t = 0; t < kThreads; ++t) {
+    publishers.emplace_back([&, t] {
+      for (int i = 0; i < kMapsPerThread; ++i) {
+        const int m = t * kMapsPerThread + i;
+        const int node = m % kNodes;
+        // An empty partition, a small record stream, and every 16th
+        // map a segment spanning several compression blocks.
+        std::vector<std::string> raw = {
+            "",
+            MakeSegment({{"key" + std::to_string(m), std::to_string(i)}}),
+            std::string(i % 16 == 0 ? 150 << 10 : 100, 'a' + m % 26)};
+        service.Publish(m, node, raw);
+        for (int p = 0; p < kPartitions; ++p) {
+          std::string segment;
+          Status st = FetchSegment(transport.get(), node, (node + 1) % kNodes,
+                                   m, p, &segment, /*job_id=*/21);
+          if (!st.ok()) {
+            ADD_FAILURE() << "map " << m << " partition " << p << ": " << st;
+            continue;
+          }
+          std::shared_ptr<const std::string> decoded;
+          st = DecodeShuffleSegment(Slice(segment), &decoded);
+          if (!st.ok() || *decoded != raw[p]) {
+            ADD_FAILURE() << "map " << m << " partition " << p << ": " << st;
+            continue;
+          }
+          raw_bytes.fetch_add(raw[p].size());
+          wire_bytes.fetch_add(segment.size());
+          fetched.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : publishers) t.join();
+  ASSERT_EQ(fetched.load(), kThreads * kMapsPerThread * kPartitions);
+  const SegmentEncodeStats stats = service.encode_stats();
+  EXPECT_EQ(stats.raw_bytes, raw_bytes.load());
+  EXPECT_EQ(stats.wire_bytes, wire_bytes.load());
+}
+
 TEST(ShuffleServiceTest, BarrierSinkCollectsPerMapperRuns) {
   auto transport = testutil::MakeTransport(3);
   ShuffleService service(transport.get(), 3, /*num_map_tasks=*/2, /*job_id=*/1);
@@ -340,7 +396,6 @@ TEST(ShuffleServiceTest, RerunOfAConsumedMapIsNotDeliveredAgain) {
   ASSERT_TRUE(service.tracker().Next(&cursor, &consumed));
   ASSERT_TRUE(service.tracker().ReportLost(1, consumed.version));
   service.Publish(1, 0, {MakeSegment({{"b", "1"}})});
-  service.DrainPublishes();
   service.Publish(0, 0, {MakeSegment({{"a", "0"}})});
   fetch->Join();
   EXPECT_EQ(sink.deliveries(), (std::vector<int>{1, 1}));
@@ -354,8 +409,6 @@ TEST(ShuffleServiceTest, ConcurrentJobsKeepSeparateSegmentStores) {
   // Same (map_task, partition, node) coordinates in both jobs.
   job_a.Publish(0, 1, {"segment-of-job-a"});
   job_b.Publish(0, 1, {"segment-of-job-b"});
-  job_a.DrainPublishes();
-  job_b.DrainPublishes();
 
   // Publish encodes into the block container: fetch the wire bytes and
   // decode back to the raw payload to compare.
@@ -376,7 +429,6 @@ TEST(ShuffleServiceTest, DestructionUnregistersTheJobsFetchHandler) {
   {
     ShuffleService service(transport.get(), 2, 1, /*job_id=*/3);
     service.Publish(0, 1, {"bytes"});
-    service.DrainPublishes();
     std::string segment;
     ASSERT_TRUE(FetchSegment(transport.get(), 1, 0, 0, 0, &segment, 3).ok());
   }

@@ -10,10 +10,8 @@
 #include <string>
 #include <thread>
 
-#include "common/codec.h"
 #include "concurrency/bounded_queue.h"
 #include "concurrency/thread_pool.h"
-#include "mr/encoding_pipeline.h"
 
 namespace bmr {
 namespace {
@@ -238,64 +236,6 @@ TEST(BatchedQueueStressTest, MixedSingleAndBatchedOpsMakeProgress) {
       pool.Wait();
     }
     EXPECT_EQ(popped.load(), accepted.load()) << "round " << round;
-  }
-}
-
-// ~EncodingPipeline while a producer is parked on the window: the
-// destructor used to Drain() only admitted work, see pending_jobs_ ==
-// 0, and free the worker pool under a Submit still blocked on
-// window_open_ (use-after-free, lost DoneFn).  The contract pinned
-// down in encoding_pipeline.h: in-flight Submits are admitted, encoded,
-// and their DoneFns run before destruction completes.
-TEST(ShutdownStressTest, EncodingPipelineDestructionDrainsBlockedSubmit) {
-  auto codec = FindCodec("none");
-  ASSERT_TRUE(codec.ok());
-  for (int round = 0; round < kRounds; ++round) {
-    std::atomic<bool> first_done{false};
-    std::atomic<bool> second_done{false};
-    std::atomic<bool> second_admitted{false};
-    CountdownLatch release_first(1);
-    ThreadPool producer(1);
-    {
-      mr::EncodingPipeline::Options options;
-      options.codec = *codec;
-      options.window_bytes = 64;  // the second submit cannot fit
-      options.threads = 1;
-      mr::EncodingPipeline pipeline(options);
-
-      // Fills the window and holds it open: the DoneFn parks until the
-      // second producer has made it through Submit.
-      pipeline.Submit({std::string(256, 'a')},
-                      [&](mr::EncodingPipeline::Encoded) {
-                        release_first.Wait();
-                        first_done.store(true);
-                      });
-      std::atomic<bool> second_entered{false};
-      producer.Submit([&] {
-        second_entered.store(true);
-        // Blocks on window_open_: the window is full and stays full
-        // while the first DoneFn is parked.
-        pipeline.Submit({std::string(256, 'b')},
-                        [&](mr::EncodingPipeline::Encoded) {
-                          second_done.store(true);
-                        });
-        second_admitted.store(true);
-        release_first.CountDown();
-      });
-      // Let the second producer reach the window wait, then destroy
-      // the pipeline under it.
-      while (!second_entered.load()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      EXPECT_FALSE(second_admitted.load());
-    }
-    // Destruction drained everything: both submits were admitted and
-    // both completion callbacks ran.
-    EXPECT_TRUE(second_admitted.load()) << "round " << round;
-    EXPECT_TRUE(first_done.load()) << "round " << round;
-    EXPECT_TRUE(second_done.load()) << "round " << round;
-    producer.Wait();
   }
 }
 
