@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/block_container.h"
 #include "common/codec.h"
 #include "common/config.h"
 #include "common/histogram.h"
@@ -29,7 +30,6 @@
 #include "core/spill_merge_store.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
-#include "mr/segment_codec.h"
 #include "mr/shuffle_service.h"
 #include "obs/metric_names.h"
 #include "obs/trace.h"
@@ -341,8 +341,8 @@ CodecLeg RunCodecLeg(const std::vector<std::string>& segments,
   ByteBuffer buf;
   for (const std::string& segment : segments) {
     buf.Clear();
-    mr::EncodeShuffleSegment(Slice(segment), **codec,
-                             mr::kDefaultShuffleBlockBytes, &buf);
+    EncodeShuffleSegment(Slice(segment), **codec, kDefaultShuffleBlockBytes,
+                         &buf);
     leg.wire_bytes += buf.size();
     wire.push_back(buf.ToString());
   }
@@ -350,7 +350,7 @@ CodecLeg RunCodecLeg(const std::vector<std::string>& segments,
   auto t0 = std::chrono::steady_clock::now();
   for (const std::string& w : wire) {
     std::shared_ptr<const std::string> raw;
-    if (!mr::DecodeShuffleSegment(Slice(w), &raw).ok()) std::exit(1);
+    if (!DecodeShuffleSegment(Slice(w), &raw).ok()) std::exit(1);
     mr::RecordBatch batch;
     if (!mr::DecodeSegment(std::move(raw), &batch).ok()) std::exit(1);
     for (const mr::RecordBatch::Entry& e : batch) {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Drive the chaos/equivalence sweep: hundreds of seeded random fault
 # scenarios (node crashes, RPC drops/delays/duplicates, fetch timeouts,
-# segment corruption, spill I/O errors), each asserting the recovered
-# barrier-less run's output is byte-identical to a fault-free golden
-# run of the same app and store backend.
+# segment corruption, spill I/O errors, and spill_corrupt: bit rot in a
+# spill container or KV log value read back, caught by its checksum),
+# each asserting the recovered barrier-less run's output is
+# byte-identical to a fault-free golden run of the same app and store
+# backend.
 #
 #   scripts/chaos.sh             # default sweep (200 seeds)
 #   scripts/chaos.sh 1000        # wider sweep

@@ -9,6 +9,7 @@
 #   scripts/check.sh ubsan        # decoder/store suites under UBSan
 #   scripts/check.sh chaos        # full chaos sweep (scripts/chaos.sh)
 #   scripts/check.sh bench        # smoke bench + BENCH_datapath.json gate
+#                                 # + e2ebench driver build and self-test
 #   scripts/check.sh service      # smoke bench + BENCH_service.json gate
 #                                 # (jobs/sec, per-tenant fairness, p99)
 #   scripts/check.sh obs          # traced wordcount + artifact validation
@@ -75,6 +76,11 @@ for preset in "${presets[@]}"; do
     # Smoke-size bench run; fails if any BENCH_datapath.json metric
     # regresses more than 20% below the checked-in baseline.
     scripts/bench.sh --smoke --suite datapath
+    # The end-to-end benchmark driver (e2ebench/, BENCHMARK.json) is its
+    # own CMake package over src/: build it and run its self-test, so a
+    # src/ change that breaks it fails here rather than in a benchmark
+    # run.  Its build tree goes under build/.
+    CARGO_TARGET_DIR=build/e2ebench-target python3 e2ebench/run.py --self-test
     continue
   fi
   if [ "${preset}" = service ]; then

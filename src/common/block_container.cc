@@ -1,4 +1,4 @@
-#include "mr/segment_codec.h"
+#include "common/block_container.h"
 
 #include <cstring>
 
@@ -6,7 +6,7 @@
 #include "common/hash.h"
 #include "common/serde.h"
 
-namespace bmr::mr {
+namespace bmr {
 
 namespace {
 
@@ -109,4 +109,4 @@ Status DecodeShuffleSegment(Slice wire,
   return Status::Ok();
 }
 
-}  // namespace bmr::mr
+}  // namespace bmr

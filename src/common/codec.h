@@ -10,7 +10,7 @@
 //
 // Codecs compress one *block* at a time (shuffle.block_bytes, default
 // 64 KiB); the per-block container format — lengths, checksums, stored
-// fallback for incompressible blocks — lives in mr/segment_codec.h.
+// fallback for incompressible blocks — lives in common/block_container.h.
 // Decompress() is written for untrusted input: every read and copy is
 // bounds-checked, and output is exactly `raw_size` bytes or an error.
 #pragma once
@@ -30,7 +30,7 @@ class Codec {
   /// Stable registry name ("none", "lz4") — the shuffle.codec knob.
   virtual const char* name() const = 0;
   /// Wire id stamped on encoded blocks (0 is reserved for stored /
-  /// uncompressed blocks; see mr/segment_codec.h).
+  /// uncompressed blocks; see common/block_container.h).
   virtual uint8_t id() const = 0;
 
   /// Compress `raw` onto the end of `out`.  Returns false when the

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/serde.h"
+#include "common/hash.h"
 #include "faults/fault_injector.h"
 
 namespace bmr::core {
@@ -42,6 +42,7 @@ Status KvStoreBackend::WriteToLog(Slice value, DiskLocation* loc) {
   loc->offset = log_tail_;
   loc->length = static_cast<uint32_t>(value.size());
   loc->on_disk = true;
+  loc->checksum = Fnv1a64(value);
   log_tail_ += value.size();
   return Status::Ok();
 }
@@ -58,6 +59,12 @@ Status KvStoreBackend::ReadFromLog(const DiskLocation& loc,
   value->resize(loc.length);
   if (std::fread(value->data(), 1, loc.length, log_) != loc.length) {
     return Status::Internal("kv log short read");
+  }
+  if (config_.fault_injector != nullptr) {
+    config_.fault_injector->MaybeCorruptSpill(value);
+  }
+  if (Fnv1a64(Slice(*value)) != loc.checksum) {
+    return Status::DataLoss("kv log checksum mismatch: " + log_path_);
   }
   ++stats_.disk_reads;
   return Status::Ok();

@@ -45,6 +45,7 @@ class KvStoreBackend final : public PartialStore {
     uint64_t offset = 0;
     uint32_t length = 0;
     bool on_disk = false;  // false => value only exists in cache
+    uint64_t checksum = 0;  // Fnv1a64 of the bytes written, checked on read
   };
   struct CacheEntry {
     std::string key;

@@ -1,118 +1,97 @@
 #include "core/spill_file.h"
 
-#include "common/serde.h"
+#include "common/block_container.h"
+#include "common/codec.h"
 #include "faults/fault_injector.h"
 
 namespace bmr::core {
 
 namespace {
-constexpr size_t kIoBufferBytes = 64 << 10;
+
+/// Bytes Encoder::PutString takes for `s`.
+uint64_t FramedSize(Slice s) {
+  uint64_t n = 1;
+  for (uint64_t v = s.size(); v >= 0x80; v >>= 7) ++n;
+  return n + s.size();
 }
+
+}  // namespace
 
 SpillFileWriter::SpillFileWriter(std::string path,
                                  faults::FaultInjector* injector)
-    : path_(std::move(path)), injector_(injector) {}
-
-SpillFileWriter::~SpillFileWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status SpillFileWriter::Open() {
-  file_ = std::fopen(path_.c_str(), "wb");
-  if (file_ == nullptr) {
-    return Status::Internal("cannot open spill file for write: " + path_);
-  }
-  return Status::Ok();
-}
+    : path_(std::move(path)),
+      injector_(injector),
+      file_(std::fopen(path_.c_str(), "wb")) {}
 
 Status SpillFileWriter::Append(Slice key, Slice value) {
   if (injector_ != nullptr) {
     BMR_RETURN_IF_ERROR(injector_->OnSpillWrite(path_));
   }
-  record_.Clear();
-  Encoder enc(&record_);
+  // A container decodes to at most kMaxSegmentRawBytes: a record that
+  // cannot fit in one fails here, not in the reader.
+  const uint64_t framed = FramedSize(key) + FramedSize(value);
+  if (framed > kMaxSegmentRawBytes) {
+    return Status::ResourceExhausted("spill record of " +
+                                     std::to_string(framed) +
+                                     " bytes exceeds the container cap");
+  }
+  if (staged_.size() + framed > kDefaultShuffleBlockBytes) {
+    BMR_RETURN_IF_ERROR(WriteContainer());
+  }
+  Encoder enc(&staged_);
   enc.PutString(key);
   enc.PutString(value);
-  if (std::fwrite(record_.data(), 1, record_.size(), file_) !=
-      record_.size()) {
+  return Status::Ok();
+}
+
+Status SpillFileWriter::WriteContainer() {
+  if (file_ == nullptr) return Status::Internal("cannot open " + path_);
+  if (staged_.empty()) return Status::Ok();
+  ByteBuffer container;
+  EncodeShuffleSegment(staged_.AsSlice(), **FindCodec("none"),
+                       kDefaultShuffleBlockBytes, &container);
+  staged_.Clear();
+  const uint32_t len = static_cast<uint32_t>(container.size());
+  if (std::fwrite(&len, sizeof(len), 1, file_.get()) != 1 ||
+      std::fwrite(container.data(), 1, len, file_.get()) != len) {
     return Status::Internal("short write to spill file: " + path_);
   }
-  bytes_written_ += record_.size();
+  bytes_written_ += sizeof(len) + len;
   return Status::Ok();
 }
 
 Status SpillFileWriter::Close() {
-  if (file_ == nullptr) return Status::Ok();
-  int rc = std::fclose(file_);
-  file_ = nullptr;
-  if (rc != 0) return Status::Internal("close failed: " + path_);
-  return Status::Ok();
+  Status st = WriteContainer();
+  if (file_ != nullptr && std::fclose(file_.release()) != 0 && st.ok()) {
+    return Status::Internal("close failed: " + path_);
+  }
+  return st;
 }
 
-SpillFileReader::SpillFileReader(std::string path,
+SpillFileReader::SpillFileReader(std::string path, uint64_t run_bytes,
                                  faults::FaultInjector* injector)
-    : path_(std::move(path)), injector_(injector) {}
+    : path_(std::move(path)),
+      run_bytes_(run_bytes),
+      injector_(injector),
+      file_(std::fopen(path_.c_str(), "rb")) {}
 
-SpillFileReader::~SpillFileReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status SpillFileReader::Open() {
-  file_ = std::fopen(path_.c_str(), "rb");
-  if (file_ == nullptr) {
-    return Status::Internal("cannot open spill file for read: " + path_);
+Status SpillFileReader::ReadContainer() {
+  // Lengths are checked against the run length we were given, never
+  // the file's, so a corrupt one cannot make us read or allocate more.
+  uint32_t len = 0;
+  if (run_bytes_ - bytes_read_ < sizeof(len) ||
+      std::fread(&len, sizeof(len), 1, file_.get()) != 1 ||
+      len > run_bytes_ - bytes_read_ - sizeof(len)) {
+    return Status::DataLoss("spill run cut short or corrupt: " + path_);
   }
-  return Status::Ok();
-}
-
-Status SpillFileReader::FillBuffer(size_t need) {
-  // Compact consumed prefix, then top up to at least `need` available.
-  // A short fread is end of file only if the stream reports no error.
-  if (buffer_pos_ > 0) {
-    buffer_.erase(0, buffer_pos_);
-    buffer_pos_ = 0;
+  std::string wire(len, '\0');
+  if (std::fread(wire.data(), 1, len, file_.get()) != len) {
+    return Status::DataLoss("spill run cut short: " + path_);
   }
-  while (buffer_.size() < need && !eof_) {
-    size_t old = buffer_.size();
-    size_t chunk = std::max(need - old, kIoBufferBytes);
-    buffer_.resize(old + chunk);
-    size_t n = std::fread(buffer_.data() + old, 1, chunk, file_);
-    buffer_.resize(old + n);
-    if (n < chunk) {
-      if (std::ferror(file_) != 0) {
-        return Status::DataLoss("spill file read failed: " + path_);
-      }
-      eof_ = true;
-    }
-  }
-  if (buffer_.size() < need) {
-    return Status::DataLoss("truncated spill file: " + path_);
-  }
-  return Status::Ok();
-}
-
-Status SpillFileReader::ReadVarint(uint64_t* v) {
-  uint64_t result = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (buffer_pos_ >= buffer_.size()) {
-      BMR_RETURN_IF_ERROR(FillBuffer(1));
-    }
-    uint8_t byte = static_cast<uint8_t>(buffer_[buffer_pos_++]);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if (!(byte & 0x80)) {
-      *v = result;
-      return Status::Ok();
-    }
-  }
-  return Status::DataLoss("overlong varint in spill file");
-}
-
-Status SpillFileReader::ReadBytes(std::string* out, size_t n) {
-  if (buffer_.size() - buffer_pos_ < n) {
-    BMR_RETURN_IF_ERROR(FillBuffer(n));  // compacts: buffer_pos_ becomes 0
-  }
-  out->assign(buffer_.data() + buffer_pos_, n);
-  buffer_pos_ += n;
+  bytes_read_ += sizeof(len) + len;
+  if (injector_ != nullptr) injector_->MaybeCorruptSpill(&wire);
+  BMR_RETURN_IF_ERROR(DecodeShuffleSegment(Slice(wire), &raw_));
+  records_ = Decoder(Slice(*raw_));
   return Status::Ok();
 }
 
@@ -121,21 +100,22 @@ Status SpillFileReader::Next(std::string* key, std::string* value,
   if (injector_ != nullptr) {
     BMR_RETURN_IF_ERROR(injector_->OnSpillRead(path_));
   }
-  // End of file is only legitimate exactly at a record boundary; a
-  // failed read there is an error, not end of file.
-  if (buffer_pos_ >= buffer_.size()) {
-    Status st = FillBuffer(1);
-    if (buffer_.empty() && eof_) {
+  if (file_ == nullptr) return Status::Internal("cannot open " + path_);
+  while (records_.empty()) {
+    if (bytes_read_ == run_bytes_) {
+      // The run must end exactly here; a further byte or a failed read
+      // is an error, not the end of the run.
+      if (std::fgetc(file_.get()) != EOF || std::ferror(file_.get()) != 0) {
+        return Status::DataLoss("spill run does not end where written: " + path_);
+      }
       *has_record = false;
       return Status::Ok();
     }
-    BMR_RETURN_IF_ERROR(st);
+    BMR_RETURN_IF_ERROR(ReadContainer());
   }
-  uint64_t klen, vlen;
-  BMR_RETURN_IF_ERROR(ReadVarint(&klen));
-  BMR_RETURN_IF_ERROR(ReadBytes(key, klen));
-  BMR_RETURN_IF_ERROR(ReadVarint(&vlen));
-  BMR_RETURN_IF_ERROR(ReadBytes(value, vlen));
+  if (!records_.GetString(key) || !records_.GetString(value)) {
+    return Status::DataLoss("malformed record in spill run: " + path_);
+  }
   *has_record = true;
   return Status::Ok();
 }

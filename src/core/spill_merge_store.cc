@@ -1,7 +1,6 @@
 #include "core/spill_merge_store.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/spill_file.h"
 #include "obs/metric_names.h"
@@ -70,19 +69,18 @@ Status SpillMergeStore::SpillNow() {
   // A spill is rare and expensive (sort + write of the whole memtable),
   // so it earns both a span and an unsampled latency sample.
   obs::ScopedSpan spill_span(config_.tracer, obs::kSpanStoreSpill, "store",
-                             static_cast<int64_t>(spill_paths_.size()));
+                             static_cast<int64_t>(spill_runs_.size()));
   obs::LatencyTimer spill_latency(config_.tracer, obs::kHStoreSpillUs);
   if (!scratch_) scratch_.emplace(config_.scratch_dir);
   std::string path =
-      scratch_->FilePath("spill_" + std::to_string(spill_paths_.size()));
+      scratch_->FilePath("spill_" + std::to_string(spill_runs_.size()));
   SpillFileWriter writer(path, config_.fault_injector);
-  BMR_RETURN_IF_ERROR(writer.Open());
   for (auto entry : SortedByKey(memtable_, key_less_)) {
     BMR_RETURN_IF_ERROR(
         writer.Append(Slice(entry->first), Slice(entry->second)));
   }
   BMR_RETURN_IF_ERROR(writer.Close());
-  spill_paths_.push_back(path);
+  spill_runs_.emplace_back(std::move(path), writer.bytes_written());
   ++stats_.spills;
   stats_.spilled_bytes += writer.bytes_written();
   memtable_.clear();
@@ -109,7 +107,7 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn,
                                   bool drain) {
   auto sorted = SortedByKey(memtable_, key_less_);
   // Nothing spilled: the sorted memtable is the only run.
-  if (spill_paths_.empty()) {
+  if (spill_runs_.empty()) {
     for (auto entry : sorted) fn(Slice(entry->first), Slice(entry->second));
     return Status::Ok();
   }
@@ -136,18 +134,16 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn,
     std::push_heap(heap.begin(), heap.end(), head_greater);
   };
 
-  std::vector<std::unique_ptr<SpillFileReader>> readers;
-  readers.reserve(spill_paths_.size());
-  for (const auto& path : spill_paths_) {
-    readers.push_back(
-        std::make_unique<SpillFileReader>(path, config_.fault_injector));
-    BMR_RETURN_IF_ERROR(readers.back()->Open());
+  std::vector<SpillFileReader> readers;
+  readers.reserve(spill_runs_.size());
+  for (const auto& [path, bytes] : spill_runs_) {
+    readers.emplace_back(path, bytes, config_.fault_injector);
   }
   auto advance_reader = [&](size_t idx) -> Status {
     Head h;
     h.source = idx;
     bool has;
-    BMR_RETURN_IF_ERROR(readers[idx]->Next(&h.key, &h.value, &has));
+    BMR_RETURN_IF_ERROR(readers[idx].Next(&h.key, &h.value, &has));
     if (has) {
       ++stats_.disk_reads;
       push_head(std::move(h));
@@ -164,9 +160,9 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn,
     if (drain) {  // extracting one entry leaves the other iterators valid
       auto node = memtable_.extract(entry);
       push_head(Head{std::move(node.key()), std::move(node.mapped()),
-                     spill_paths_.size()});
+                     spill_runs_.size()});
     } else {
-      push_head(Head{entry->first, entry->second, spill_paths_.size()});
+      push_head(Head{entry->first, entry->second, spill_runs_.size()});
     }
   };
   push_memtable_head();

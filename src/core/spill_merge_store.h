@@ -58,7 +58,8 @@ class SpillMergeStore final : public PartialStore {
   /// Upper bound on distinct keys (over-counts keys split across
   /// spills); exact count requires the merge pass.
   uint64_t approx_keys_ = 0;
-  std::vector<std::string> spill_paths_;
+  /// Each spill file's path and the byte count its writer reported.
+  std::vector<std::pair<std::string, uint64_t>> spill_runs_;
   /// Fold target under a heap cap: a partial is updated here and
   /// swapped into the memtable only once its footprint fits.
   std::string fold_scratch_;

@@ -149,6 +149,22 @@ Status FaultInjector::OnSpillRead(const std::string& path) {
   return Status::Ok();
 }
 
+bool FaultInjector::MaybeCorruptSpill(std::string* bytes) {
+  if (bytes->empty()) return false;  // nothing to flip
+  MutexLock lock(mu_);
+  for (EventState& s : state_->events) {
+    if (s.event.kind != FaultKind::kSpillCorrupt) continue;
+    if (s.Tick()) {
+      // The last byte is checksummed payload in both callers, and any
+      // one-byte change alters an FNV-1a hash, so this is always caught.
+      bytes->back() = static_cast<char>(bytes->back() ^ 0x01);
+      LogFired(s.event.kind, -1);
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<FaultInjector::FaultRecord> FaultInjector::DrainLog() {
   MutexLock lock(mu_);
   std::vector<FaultRecord> out;

@@ -72,6 +72,12 @@ class FaultInjector {
   [[nodiscard]] Status OnSpillRead(const std::string& path)
       BMR_EXCLUDES(mu_);
 
+  /// Bit rot on read: called with a spill container or KV log value
+  /// just read from disk, before its checksum is verified.  true =>
+  /// one byte of `bytes` was flipped, so the verification fails (the
+  /// file itself stays intact).
+  bool MaybeCorruptSpill(std::string* bytes) BMR_EXCLUDES(mu_);
+
   // ---- Observability -------------------------------------------------
   struct FaultRecord {
     FaultKind kind;

@@ -16,6 +16,7 @@ const char* FaultKindName(FaultKind kind) {
     case FaultKind::kSegmentCorrupt: return "segment_corrupt";
     case FaultKind::kSpillWriteError: return "spill_write_error";
     case FaultKind::kSpillReadError: return "spill_read_error";
+    case FaultKind::kSpillCorrupt: return "spill_corrupt";
   }
   return "?";
 }
@@ -40,6 +41,7 @@ FaultPlan FaultPlan::Generate(uint64_t seed, const FaultPlanOptions& options) {
   if (options.allow_spill) {
     kinds.push_back(FaultKind::kSpillWriteError);
     kinds.push_back(FaultKind::kSpillReadError);
+    kinds.push_back(FaultKind::kSpillCorrupt);
   }
   if (options.allow_crash) kinds.push_back(FaultKind::kNodeCrash);
   if (kinds.empty() || options.max_faults < 1) return plan;
@@ -100,6 +102,7 @@ FaultPlan FaultPlan::Generate(uint64_t seed, const FaultPlanOptions& options) {
         break;
       case FaultKind::kSpillWriteError:
       case FaultKind::kSpillReadError:
+      case FaultKind::kSpillCorrupt:
         e.node = -1;
         e.after_calls = rng.NextBounded(10);
         e.count = 1;

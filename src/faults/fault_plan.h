@@ -24,6 +24,8 @@ enum class FaultKind {
   kSegmentCorrupt,  // a fetched segment is truncated => decode fails
   kSpillWriteError, // SpillFileWriter::Append fails with UNAVAILABLE
   kSpillReadError,  // SpillFileReader::Next fails with UNAVAILABLE
+  kSpillCorrupt,    // a spill container or KV log value read back has one
+                    // byte flipped before its checksum is verified
 };
 
 const char* FaultKindName(FaultKind kind);

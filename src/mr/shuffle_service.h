@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/block_container.h"
 #include "common/codec.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -31,7 +32,6 @@
 #include "faults/fault_injector.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
-#include "mr/segment_codec.h"
 #include "mr/shuffle.h"
 #include "net/transport.h"
 #include "obs/metric_names.h"

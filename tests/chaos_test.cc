@@ -1,8 +1,9 @@
 // Chaos/equivalence harness: many seeded random fault scenarios, each
 // asserting the paper's recovery invariant — a job that survives
 // injected faults (node crash, RPC drop/delay/duplicate, fetch
-// timeout, segment corruption, spill I/O errors) produces output
-// byte-identical to a fault-free golden run of the same app and store.
+// timeout, segment corruption, spill I/O errors, bit rot in spill
+// runs and the KV log) produces output byte-identical to a fault-free
+// golden run of the same app and store.
 //
 // Scenario count comes from BMR_CHAOS_SEEDS (default 200); a failing
 // seed is reproduced exactly by running with the same seed because
@@ -167,6 +168,7 @@ TEST(ChaosTest, SeededScenariosMatchFaultFreeGolden) {
     EXPECT_GT(fired["fault_injected_spill_write_error"] +
                   fired["fault_injected_spill_read_error"],
               0u);
+    EXPECT_GT(fired["fault_injected_spill_corrupt"], 0u);
   }
 }
 

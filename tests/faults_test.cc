@@ -70,7 +70,8 @@ TEST(FaultPlanTest, AllowFlagsGateKinds) {
   for (uint64_t seed = 0; seed < 100; ++seed) {
     for (const FaultEvent& e : FaultPlan::Generate(seed, options).events) {
       EXPECT_TRUE(e.kind == FaultKind::kSpillWriteError ||
-                  e.kind == FaultKind::kSpillReadError)
+                  e.kind == FaultKind::kSpillReadError ||
+                  e.kind == FaultKind::kSpillCorrupt)
           << faults::FaultKindName(e.kind);
     }
   }
@@ -184,6 +185,19 @@ TEST(FaultInjectorTest, SpillHooksFail) {
   EXPECT_EQ(injector.OnSpillRead("/tmp/spill0").code(),
             StatusCode::kUnavailable);
   EXPECT_TRUE(injector.OnSpillRead("/tmp/spill0").ok());
+}
+
+TEST(FaultInjectorTest, SpillCorruptFlipsTheLastByteOnce) {
+  FaultEvent rot;
+  rot.kind = FaultKind::kSpillCorrupt;
+  FaultInjector injector(ScriptedPlan({rot}));
+  std::string empty;
+  EXPECT_FALSE(injector.MaybeCorruptSpill(&empty));  // nothing to flip
+  std::string bytes = "abc";
+  ASSERT_TRUE(injector.MaybeCorruptSpill(&bytes));
+  EXPECT_EQ(bytes, std::string("ab") + static_cast<char>('c' ^ 1));
+  EXPECT_EQ(injector.injected(FaultKind::kSpillCorrupt), 1u);
+  EXPECT_FALSE(injector.MaybeCorruptSpill(&bytes));  // spent
 }
 
 // ---- Engine-level recovery regressions --------------------------------

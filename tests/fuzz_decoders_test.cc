@@ -4,7 +4,9 @@
 // primitive every other getter builds on), and mr DecodeSegment
 // (shuffle segments fetched from remote peers).  The Last.fm and kNN
 // partial folds, which walk partial bytes read back from spill runs,
-// get every truncation and single-bit flip of valid partials instead.
+// get every truncation and single-bit flip of valid partials instead,
+// and the spill runs themselves are read back through SpillFileReader
+// after truncations and bit flips of a written run.
 //
 // No libFuzzer: a Pcg32 seeded per sweep drives the mutation schedule,
 // so every run — local, CI, asan, ubsan — explores the exact same
@@ -22,17 +24,22 @@
 // same seed → bit-identical sweep fingerprint, and a deliberately
 // broken varint decoder (the PR 4 overflow guard removed) must be
 // caught — proof the oracle has teeth, not just coverage.
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/knn.h"
 #include "apps/lastfm.h"
+#include "common/block_container.h"
 #include "common/bytes.h"
 #include "common/codec.h"
 #include "common/config.h"
@@ -40,11 +47,12 @@
 #include "common/serde.h"
 #include "common/status.h"
 #include "core/incremental.h"
+#include "core/scratch_dir.h"
+#include "core/spill_file.h"
 #include "gtest/gtest.h"
 #include "mr/emitter.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
-#include "mr/segment_codec.h"
 #include "mr/types.h"
 #include "net/framing.h"
 
@@ -344,19 +352,19 @@ bool SegmentDriver(const std::string& input, uint8_t* outcome) {
 
 bool ShuffleSegmentDriver(const std::string& input, uint8_t* outcome) {
   std::shared_ptr<const std::string> raw;
-  Status st = mr::DecodeShuffleSegment(Slice(input), &raw);
+  Status st = DecodeShuffleSegment(Slice(input), &raw);
   *outcome = st.ok() ? 1 : 0;
   if (!st.ok()) return !st.message().empty();  // rejects carry a reason
-  if (raw == nullptr || raw->size() > mr::kMaxSegmentRawBytes) return false;
+  if (raw == nullptr || raw->size() > kMaxSegmentRawBytes) return false;
   // Round-trip oracle: whatever the decoder accepted re-encodes (under
   // both codecs) into a container that decodes back byte-identically.
   for (const char* name : {"none", "lz4"}) {
     auto codec = FindCodec(name);
     if (!codec.ok()) return false;
     ByteBuffer re;
-    mr::EncodeShuffleSegment(Slice(*raw), **codec, /*block_bytes=*/1024, &re);
+    EncodeShuffleSegment(Slice(*raw), **codec, /*block_bytes=*/1024, &re);
     std::shared_ptr<const std::string> again;
-    if (!mr::DecodeShuffleSegment(re.AsSlice(), &again).ok()) return false;
+    if (!DecodeShuffleSegment(re.AsSlice(), &again).ok()) return false;
     if (*again != *raw) return false;
   }
   return true;
@@ -369,7 +377,7 @@ using SegmentDecodeFn =
 
 bool GoodSegmentDecode(const std::string& wire, std::string* raw) {
   std::shared_ptr<const std::string> p;
-  if (!mr::DecodeShuffleSegment(Slice(wire), &p).ok()) return false;
+  if (!DecodeShuffleSegment(Slice(wire), &p).ok()) return false;
   *raw = *p;
   return true;
 }
@@ -385,7 +393,7 @@ bool BrokenSegmentDecode(const std::string& wire, std::string* raw) {
   if (!dec.GetU8(&magic) || !dec.GetU8(&version) || !dec.GetU8(&codec_id) ||
       !dec.GetVarint64(&raw_total))
     return false;
-  if (magic != 0xB5 || version != 1 || raw_total > mr::kMaxSegmentRawBytes)
+  if (magic != 0xB5 || version != 1 || raw_total > kMaxSegmentRawBytes)
     return false;
   std::string out(static_cast<size_t>(raw_total), '\0');
   uint64_t pos = 0;
@@ -436,6 +444,192 @@ int SegmentCorruptionViolations(const std::string& seed,
   }
   for (size_t len = 0; len < seed.size(); ++len) {
     if (fn(seed.substr(0, len), &got) && got != want) ++violations;
+  }
+  return violations;
+}
+
+// ---- spill runs: core/spill_file.h over the block container --------
+//
+// A run written by SpillFileWriter, four containers long and holding
+// one record larger than a block, is read back after every corruption
+// in the sweep.  A reader must return exactly the written records or
+// fail: the records it hands out before failing may only be a prefix.
+
+using SpillRecords = std::vector<std::pair<std::string, std::string>>;
+
+std::string ReadFile(const std::string& path) {
+  std::string bytes(std::filesystem::file_size(path), '\0');
+  std::ifstream(path, std::ios::binary).read(bytes.data(), bytes.size());
+  return bytes;
+}
+
+/// Reads a whole run into `out`; the status is the first error, if any.
+using RunReadFn = std::function<Status(
+    const std::string& path, uint64_t run_bytes, SpillRecords* out)>;
+
+Status ReadSpillRun(const std::string& path, uint64_t run_bytes,
+                    SpillRecords* out) {
+  core::SpillFileReader reader(path, run_bytes);
+  std::string key, value;
+  bool has = true;
+  while (true) {
+    BMR_RETURN_IF_ERROR(reader.Next(&key, &value, &has));
+    if (!has) return Status::Ok();
+    out->emplace_back(key, value);
+  }
+}
+
+/// The run reader with its teeth pulled: containers decoded by
+/// BrokenSegmentDecode (no checksums), and the run ends wherever the
+/// file does.  Exists only to prove the spill sweep catches both bug
+/// classes — see HarnessCatchesChecksumSkippingSpillReader.
+Status BrokenReadSpillRun(const std::string& path, uint64_t run_bytes,
+                          SpillRecords* out) {
+  (void)run_bytes;  // BUG: a file cut at a container boundary reads clean
+  const std::string file = ReadFile(path);
+  Decoder dec{Slice(file)};
+  uint32_t len = 0;
+  Slice container;
+  while (dec.GetFixed32(&len) && dec.GetBytes(len, &container)) {
+    std::string raw;
+    if (!BrokenSegmentDecode(container.ToString(), &raw)) {
+      return Status::DataLoss("container");
+    }
+    Decoder records{Slice(raw)};
+    std::string key, value;
+    while (!records.empty()) {
+      if (!records.GetString(&key) || !records.GetString(&value)) {
+        return Status::DataLoss("record");
+      }
+      out->emplace_back(key, value);
+    }
+  }
+  return Status::Ok();
+}
+
+struct SweepRun {
+  std::string path;
+  uint64_t bytes = 0;
+  SpillRecords records;
+  /// Byte offsets of each container's length prefix, and of every
+  /// block header inside the containers.
+  std::vector<size_t> containers;
+  std::vector<size_t> blocks;
+};
+
+/// Writes the sweep's run into `dir`: a little over a block of small
+/// records (containers 1 and 2), one record larger than a block (a
+/// container of its own, two blocks), and a short tail (container 4).
+SweepRun WriteSweepRun(const core::ScratchDir& dir) {
+  SweepRun run;
+  run.path = dir.FilePath("run");
+  for (int i = 0; i < 760; ++i) {
+    run.records.emplace_back("key" + std::to_string(100000 + i),
+                             std::string(80 + i % 9, static_cast<char>(i)));
+  }
+  run.records.emplace_back("key2", std::string(70 << 10, 'B'));
+  for (int i = 0; i < 20; ++i) {
+    run.records.emplace_back("key3" + std::to_string(i), "tail");
+  }
+  core::SpillFileWriter writer(run.path);
+  for (const auto& [key, value] : run.records) {
+    EXPECT_TRUE(writer.Append(key, value).ok());
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  run.bytes = writer.bytes_written();
+
+  const std::string file = ReadFile(run.path);
+  EXPECT_EQ(file.size(), run.bytes);
+  Decoder dec{Slice(file)};
+  uint32_t len = 0;
+  Slice container;
+  while (!dec.empty()) {
+    const size_t at = file.size() - dec.remaining();
+    run.containers.push_back(at);
+    if (!dec.GetFixed32(&len) || !dec.GetBytes(len, &container)) break;
+    Decoder blocks{container};
+    uint8_t byte = 0;
+    uint64_t raw_total = 0, raw_len = 0, enc_len = 0, checksum = 0;
+    Slice enc;
+    bool ok = blocks.GetU8(&byte) && blocks.GetU8(&byte) &&
+              blocks.GetU8(&byte) && blocks.GetVarint64(&raw_total);
+    while (ok && !blocks.empty()) {
+      run.blocks.push_back(at + 4 + container.size() - blocks.remaining());
+      ok = blocks.GetVarint64(&raw_len) && blocks.GetU8(&byte) &&
+           blocks.GetVarint64(&enc_len) && blocks.GetFixed64(&checksum) &&
+           blocks.GetBytes(enc_len, &enc);
+    }
+    EXPECT_TRUE(ok) << "container at " << at;
+  }
+  return run;
+}
+
+/// Whether `got` is what a faithful reader may return for `want`: all
+/// of it after a clean end, a prefix of it after a failure.
+bool FaithfulRead(const Status& st, const SpillRecords& got,
+                  const SpillRecords& want) {
+  if (st.ok()) return got == want;
+  return got.size() <= want.size() &&
+         std::equal(got.begin(), got.end(), want.begin());
+}
+
+/// The spill-run oracle.  Every truncation and every single-bit flip
+/// near the framing (container length prefixes, container and block
+/// headers, checksums, the first and last bytes of every payload and
+/// of the file), and at a stride through the payloads; reading every
+/// flip of this 144 KiB run would hash ~80 GB.  Returns the number of
+/// reads `fn` ended unfaithfully.
+int SpillRunCorruptionViolations(const SweepRun& run, const RunReadFn& fn) {
+  constexpr size_t kNear = 24;   // framing bytes sit within this of a mark
+  constexpr size_t kStride = 61;
+  std::vector<size_t> marks = run.containers;
+  marks.insert(marks.end(), run.blocks.begin(), run.blocks.end());
+  marks.push_back(run.bytes);
+  auto near_framing = [&](size_t at) {
+    for (size_t m : marks) {
+      if (at + kNear >= m && at < m + kNear) return true;
+    }
+    return false;
+  };
+  int violations = 0;
+  auto check = [&](const std::string& path) {
+    SpillRecords got;
+    Status st = fn(path, run.bytes, &got);
+    if (!FaithfulRead(st, got, run.records)) ++violations;
+  };
+
+  const std::string flip_path = run.path + ".flip";
+  std::filesystem::copy_file(run.path, flip_path,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::FILE* f = std::fopen(flip_path.c_str(), "r+b");
+  if (f == nullptr) return -1;
+  auto put = [f](size_t at, int c) {
+    std::fseek(f, static_cast<long>(at), SEEK_SET);
+    std::fputc(c, f);
+    std::fflush(f);
+  };
+  const std::string file = ReadFile(run.path);
+  for (size_t at = 0; at < file.size(); ++at) {
+    const bool near = near_framing(at);
+    if (!near && at % kStride != 0) continue;
+    const int original = static_cast<unsigned char>(file[at]);
+    for (int bit = 0; bit < 8; ++bit) {
+      if (!near && bit != static_cast<int>(at / kStride % 8)) continue;
+      put(at, original ^ (1 << bit));
+      check(flip_path);
+      put(at, original);
+    }
+  }
+  std::fclose(f);
+
+  // Cut a copy ever shorter: each length is one resize of it.
+  const std::string cut_path = run.path + ".cut";
+  std::filesystem::copy_file(run.path, cut_path,
+                             std::filesystem::copy_options::overwrite_existing);
+  for (size_t len = file.size(); len-- > 0;) {
+    if (!near_framing(len) && len % kStride != 0) continue;
+    std::filesystem::resize_file(cut_path, len);
+    check(cut_path);
   }
   return violations;
 }
@@ -587,6 +781,41 @@ TEST_F(FuzzDecodersTest, HarnessCatchesChecksumSkippingDecoder) {
   }
   EXPECT_GT(violations, 0)
       << "harness failed to flag silent corruption and truncation";
+}
+
+TEST_F(FuzzDecodersTest, SpillRunSweepReadsWrittenRecordsOrFails) {
+  core::ScratchDir dir;
+  SweepRun run = WriteSweepRun(dir);
+  ASSERT_GE(run.containers.size(), 3u);
+  ASSERT_GT(run.blocks.size(), run.containers.size())
+      << "no container spans two blocks";
+  SpillRecords clean;
+  ASSERT_TRUE(ReadSpillRun(run.path, run.bytes, &clean).ok());
+  ASSERT_EQ(clean, run.records);
+  EXPECT_EQ(SpillRunCorruptionViolations(run, ReadSpillRun), 0);
+}
+
+TEST_F(FuzzDecodersTest, HarnessCatchesChecksumSkippingSpillReader) {
+  // The spill-run canary: the same sweep against a reader that skips
+  // checksum verification and ends the run wherever the file ends.
+  core::ScratchDir dir;
+  SweepRun run = WriteSweepRun(dir);
+  EXPECT_GT(SpillRunCorruptionViolations(run, BrokenReadSpillRun), 0)
+      << "harness failed to flag silent corruption of a spill run";
+}
+
+TEST_F(FuzzDecodersTest, SpillRunCutAtAContainerBoundaryIsDataLoss) {
+  // A run cut exactly between containers is well-formed up to the cut;
+  // only the length the writer reported tells it from a shorter run.
+  core::ScratchDir dir;
+  SweepRun run = WriteSweepRun(dir);
+  ASSERT_GE(run.containers.size(), 3u);
+  for (size_t cut : run.containers) {
+    std::filesystem::resize_file(run.path, cut);
+    SpillRecords got;
+    Status st = ReadSpillRun(run.path, run.bytes, &got);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << "cut at " << cut;
+  }
 }
 
 TEST_F(FuzzDecodersTest, ShuffleSegmentCorpusSeedsAreWellFormed) {

@@ -11,11 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/block_container.h"
 #include "common/mutex.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "mr/map_output.h"
-#include "mr/segment_codec.h"
 #include "mr/shuffle_service.h"
 #include "net/transport.h"
 #include "transport_test_util.h"

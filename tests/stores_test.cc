@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "common/block_container.h"
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/serde.h"
@@ -319,8 +320,7 @@ TEST(SpillMergeStoreTest, SpillRunsAreKeyOrdered) {
     if (entry.is_regular_file()) runs.push_back(entry.path().string());
   }
   ASSERT_EQ(runs.size(), 1u);
-  SpillFileReader reader(runs[0]);
-  ASSERT_TRUE(reader.Open().ok());
+  SpillFileReader reader(runs[0], std::filesystem::file_size(runs[0]));
   std::vector<std::string> run_keys;
   std::string key, value;
   bool has = true;
@@ -412,6 +412,44 @@ TEST(KvStoreTest, UpdatedValueWinsAfterEviction) {
         store.Fold("fill2" + std::to_string(i), fill, &reducer, nullptr).ok());
   }
   EXPECT_EQ(Contents(store, &reducer)["target"], "new");
+}
+
+TEST(KvStoreTest, FlippedLogByteIsDataLossOnPageIn) {
+  // The index keeps a checksum of every value it wrote: a byte flipped
+  // in the log under an evicted key must surface when the key is paged
+  // back in, not be folded as if it were the partial.
+  ScratchDir scratch;
+  StoreConfig config;
+  config.type = StoreType::kKvStore;
+  config.scratch_dir = scratch.path();
+  config.kv_cache_bytes = 1024;  // every value below is evicted at once
+  KvStoreBackend store(config);
+  LastWriteWins reducer;
+  // "target" is written first, at offset 0; the megabyte written after
+  // it pushes it out of any stdio buffer onto disk.
+  const std::string big(64 << 10, 'x');
+  ASSERT_TRUE(store.Fold("target", big, &reducer, nullptr).ok());
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(
+        store.Fold("fill" + std::to_string(i), big, &reducer, nullptr).ok());
+  }
+  std::string log;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(scratch.path())) {
+    if (entry.path().filename() == "kvlog") log = entry.path().string();
+  }
+  ASSERT_FALSE(log.empty()) << "no kvlog under " << scratch.path();
+  {
+    std::fstream f(log, std::ios::in | std::ios::out | std::ios::binary);
+    char c = 0;
+    ASSERT_TRUE(f.read(&c, 1));
+    ASSERT_EQ(c, 'x');
+    f.seekp(0);
+    c = static_cast<char>(c ^ 0x10);
+    ASSERT_TRUE(f.write(&c, 1));
+  }
+  Status st = store.Fold("target", "new", &reducer, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st;
 }
 
 TEST(KvStoreTest, DirtyEvictionWriteFailureSurfacesFromFold) {
@@ -676,7 +714,6 @@ TEST(SpillFileTest, WriterReaderRoundTrip) {
   ScratchDir scratch;
   std::string path = scratch.FilePath("f");
   SpillFileWriter writer(path);
-  ASSERT_TRUE(writer.Open().ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(writer
                     .Append("key" + std::to_string(i),
@@ -685,8 +722,7 @@ TEST(SpillFileTest, WriterReaderRoundTrip) {
   }
   ASSERT_TRUE(writer.Close().ok());
 
-  SpillFileReader reader(path);
-  ASSERT_TRUE(reader.Open().ok());
+  SpillFileReader reader(path, writer.bytes_written());
   for (int i = 0; i < 100; ++i) {
     std::string key, value;
     bool has = false;
@@ -705,10 +741,9 @@ TEST(SpillFileTest, EmptyFileYieldsNoRecords) {
   ScratchDir scratch;
   std::string path = scratch.FilePath("empty");
   SpillFileWriter writer(path);
-  ASSERT_TRUE(writer.Open().ok());
   ASSERT_TRUE(writer.Close().ok());
-  SpillFileReader reader(path);
-  ASSERT_TRUE(reader.Open().ok());
+  EXPECT_EQ(writer.bytes_written(), 0u);
+  SpillFileReader reader(path, writer.bytes_written());
   std::string k, v;
   bool has = true;
   ASSERT_TRUE(reader.Next(&k, &v, &has).ok());
@@ -720,12 +755,45 @@ TEST(SpillFileTest, ReadErrorIsNotEndOfRun) {
   // (EISDIR).  A failed read at a record boundary must surface, not
   // read as a clean end of run that silently drops the rest of it.
   ScratchDir scratch;
-  SpillFileReader reader(scratch.path());
-  ASSERT_TRUE(reader.Open().ok());
+  SpillFileReader reader(scratch.path(), /*run_bytes=*/0);
   std::string k, v;
   bool has = true;
   Status st = reader.Next(&k, &v, &has);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st;
+}
+
+TEST(SpillFileTest, FailedOpenSurfacesAtFirstUse) {
+  ScratchDir scratch;
+  const std::string missing = scratch.FilePath("no/such/dir/run");
+  SpillFileWriter writer(missing);
+  EXPECT_EQ(writer.Close().code(), StatusCode::kInternal);
+  SpillFileReader reader(missing, /*run_bytes=*/0);
+  std::string k, v;
+  bool has = true;
+  EXPECT_EQ(reader.Next(&k, &v, &has).code(), StatusCode::kInternal);
+}
+
+TEST(SpillFileTest, RecordOverTheContainerCapFailsAtAppend) {
+  // A container decodes to at most kMaxSegmentRawBytes.  A record that
+  // cannot fit in one must fail loudly when appended, and the run keeps
+  // only what was appended before it, readable as written.
+  ScratchDir scratch;
+  std::string path = scratch.FilePath("f");
+  SpillFileWriter writer(path);
+  ASSERT_TRUE(writer.Append("small", "v").ok());
+  const std::string huge(kMaxSegmentRawBytes, 'v');
+  Status st = writer.Append("huge", huge);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+  ASSERT_TRUE(writer.Close().ok());
+
+  SpillFileReader reader(path, writer.bytes_written());
+  std::string k, v;
+  bool has = false;
+  ASSERT_TRUE(reader.Next(&k, &v, &has).ok());
+  ASSERT_TRUE(has);
+  EXPECT_EQ(k, "small");
+  ASSERT_TRUE(reader.Next(&k, &v, &has).ok());
+  EXPECT_FALSE(has);
 }
 
 }  // namespace
